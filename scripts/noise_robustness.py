@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from robsurv.synthdata import CohortConfig, NoiseSpec, generate_cohort
+from robsurv.synthdata import CT_SIGMA_CHOICES, CohortConfig, NoiseSpec, generate_cohort
 from robsurv.trainer import TrainConfig, evaluate, train
 
 
@@ -20,7 +20,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=120)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--sigma", type=float, default=0.1, choices=(0.05, 0.1, 0.2),
+    ap.add_argument("--sigma", type=float, default=0.1, choices=CT_SIGMA_CHOICES,
                     help="CT noise level")
     ap.add_argument("--pet", default="high", choices=("low", "medium", "high"))
     args = ap.parse_args()

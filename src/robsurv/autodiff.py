@@ -31,11 +31,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DomainError, NumericsError, ShapeError
+from .errors import ContractError, DomainError, NumericsError, ShapeError
 
 __all__ = [
     "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
-    "as_tensor", "zeros", "full", "uniform", "normal",
+    "as_tensor", "linear_spec", "init_params",
     "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sigmoid", "relu", "softmax", "l2norm",
     "concat", "reshape", "transpose", "slice_along", "take_rows",
@@ -205,39 +205,23 @@ def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # construction
 
-def _checked_shape(shape) -> tuple[int, ...]:
-    if isinstance(shape, (int, np.integer)):
-        shape = (int(shape),)
-    shape = tuple(int(s) for s in shape)
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"shape extents must be >= 1, got {shape}")
-    return shape
+def linear_spec(fan_in: int, fan_out: int) -> tuple:
+    """Parameter-table entry for a weight uniform within +-1/sqrt(fan_in)."""
+    bound = 1.0 / np.sqrt(fan_in)
+    return (fan_in, fan_out), -bound, bound
 
 
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if seed is None:
-        raise ConfigError("random initialisation requires an explicit seed")
-    return np.random.default_rng(seed)
+def init_params(specs: dict, rng: np.random.Generator) -> dict[str, Tensor]:
+    """Trainable tensors from an ordered ``{name: (shape, low, high)}`` table.
 
-
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(_checked_shape(shape)), requires_grad)
-
-
-def full(shape, value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(_checked_shape(shape), float(value)), requires_grad)
-
-
-def uniform(shape, low: float = 0.0, high: float = 1.0, *, seed, requires_grad: bool = False) -> Tensor:
-    rng = _as_rng(seed)
-    return Tensor(rng.uniform(low, high, size=_checked_shape(shape)), requires_grad)
-
-
-def normal(shape, mean: float = 0.0, std: float = 1.0, *, seed, requires_grad: bool = False) -> Tensor:
-    rng = _as_rng(seed)
-    return Tensor(rng.normal(mean, std, size=_checked_shape(shape)), requires_grad)
+    In table order, each entry is drawn uniformly from [low, high) when
+    low < high and filled with the constant ``low`` otherwise (no draw).
+    """
+    return {
+        name: Tensor(rng.uniform(low, high, size=shape) if low < high else np.full(shape, low),
+                     requires_grad=True)
+        for name, (shape, low, high) in specs.items()
+    }
 
 
 # ---------------------------------------------------------------------------

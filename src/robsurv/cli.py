@@ -20,7 +20,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import fusion, stats, trainer, vq
+from . import stats, trainer
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -100,40 +100,17 @@ def cmd_gen(args) -> None:
 # train
 
 
-def _nested(raw: dict, key: str, build):
-    if key in raw and isinstance(raw[key], dict):
-        try:
-            raw[key] = build(**raw[key])
-        except TypeError as err:
-            raise ConfigError(f"bad {key} section: {err}") from None
-
-
 def _load_train_config(path: str | None, ablate: str) -> trainer.TrainConfig:
-    overrides: dict = {}
+    raw = {}
     if path is not None:
         file = Path(path)
         if not file.is_file():
             raise ConfigError(f"config file not found: {file}")
         try:
             raw = json.loads(file.read_text())
-        except json.JSONDecodeError as err:
+        except ValueError as err:  # undecodable bytes or invalid JSON
             raise ConfigError(f"config file is not valid JSON: {err}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("config file must hold a JSON object")
-        known = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config fields: {', '.join(unknown)}")
-        _nested(raw, "encoder", vq.EncoderConfig)
-        _nested(raw, "fusion", fusion.FusionConfig)
-        _nested(raw, "train_noise", NoiseSpec)
-        if raw.get("risk_weights") is not None:
-            raw["risk_weights"] = tuple(raw["risk_weights"])
-        overrides = raw
-    try:
-        config = trainer.TrainConfig(**overrides)
-    except TypeError as err:
-        raise ConfigError(f"bad config: {err}") from None
+    config = trainer.config_from_dict(raw)
     # the ablation flag wins over whatever the config file says
     flags = {
         "none": {},

@@ -50,7 +50,7 @@ class FusionConfig:
             raise ConfigError("channel_reduction must be positive")
         if self.d_fused < 1:
             raise ConfigError("d_fused must be positive")
-        if self.preserve_weight_pet < 0:
+        if not self.preserve_weight_pet >= 0:
             raise ConfigError("preserve_weight_pet must be nonnegative")
 
     def n_patches(self, enc: EncoderConfig) -> int:
@@ -86,13 +86,8 @@ class FusionLosses:
     total: ad.Tensor
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int) -> ad.Tensor:
-    bound = 1.0 / np.sqrt(fan_in)
-    return ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-
-
-def init_fusion_params(enc: EncoderConfig, cfg: FusionConfig, rng: np.random.Generator) -> dict:
-    """Fresh parameter dict for both fusion routes.
+def param_specs(enc: EncoderConfig, cfg: FusionConfig) -> dict[str, tuple]:
+    """Parameter table for both fusion routes, in draw order.
 
     Weight matrices are uniform within +-1/sqrt(fan_in), biases start at
     zero, and the two stream-mixing scalars start at 0.5 each.
@@ -101,26 +96,26 @@ def init_fusion_params(enc: EncoderConfig, cfg: FusionConfig, rng: np.random.Gen
     width = cfg.n_heads * cfg.d_k
     two_d = 2 * enc.latent_dim
     hidden = max(two_d // cfg.channel_reduction, 1)
-    params: dict[str, ad.Tensor] = {}
+    specs: dict[str, tuple] = {}
     for m in MODALITIES:
-        params[f"patch_w_{m}"] = _linear_init(rng, p_in, cfg.d_model)
-        params[f"patch_b_{m}"] = ad.Tensor(np.zeros(cfg.d_model), requires_grad=True)
-        params[f"wq_{m}"] = _linear_init(rng, cfg.d_model, width)
-        params[f"wk_{m}"] = _linear_init(rng, cfg.d_model, width)
-        params[f"wv_{m}"] = _linear_init(rng, cfg.d_model, width)
-    params["out_ct2pet_w"] = _linear_init(rng, width, cfg.d_model)
-    params["out_pet2ct_w"] = _linear_init(rng, width, cfg.d_model)
-    params["mix_ct"] = ad.Tensor(0.5, requires_grad=True)
-    params["mix_pet"] = ad.Tensor(0.5, requires_grad=True)
-    params["chan_w1"] = _linear_init(rng, two_d, hidden)
-    params["chan_b1"] = ad.Tensor(np.zeros(hidden), requires_grad=True)
-    params["chan_w2"] = _linear_init(rng, hidden, two_d)
-    params["chan_b2"] = ad.Tensor(np.zeros(two_d), requires_grad=True)
-    params["spat_w"] = _linear_init(rng, 2, 1)
-    params["spat_b"] = ad.Tensor(np.zeros(1), requires_grad=True)
-    params["fuse_w"] = _linear_init(rng, cfg.d_model + two_d, cfg.d_fused)
-    params["fuse_b"] = ad.Tensor(np.zeros(cfg.d_fused), requires_grad=True)
-    return params
+        specs[f"patch_w_{m}"] = ad.linear_spec(p_in, cfg.d_model)
+        specs[f"patch_b_{m}"] = ((cfg.d_model,), 0.0, 0.0)
+        specs[f"wq_{m}"] = ad.linear_spec(cfg.d_model, width)
+        specs[f"wk_{m}"] = ad.linear_spec(cfg.d_model, width)
+        specs[f"wv_{m}"] = ad.linear_spec(cfg.d_model, width)
+    specs["out_ct2pet_w"] = ad.linear_spec(width, cfg.d_model)
+    specs["out_pet2ct_w"] = ad.linear_spec(width, cfg.d_model)
+    specs["mix_ct"] = ((), 0.5, 0.5)
+    specs["mix_pet"] = ((), 0.5, 0.5)
+    specs["chan_w1"] = ad.linear_spec(two_d, hidden)
+    specs["chan_b1"] = ((hidden,), 0.0, 0.0)
+    specs["chan_w2"] = ad.linear_spec(hidden, two_d)
+    specs["chan_b2"] = ((two_d,), 0.0, 0.0)
+    specs["spat_w"] = ad.linear_spec(2, 1)
+    specs["spat_b"] = ((1,), 0.0, 0.0)
+    specs["fuse_w"] = ad.linear_spec(cfg.d_model + two_d, cfg.d_fused)
+    specs["fuse_b"] = ((cfg.d_fused,), 0.0, 0.0)
+    return specs
 
 
 @lru_cache(maxsize=8)

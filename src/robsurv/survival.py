@@ -18,23 +18,17 @@ from .errors import ConfigError, InvalidOutcomeError, ShapeError
 
 HAZARD_EPSILON = 1e-6
 LOG_FLOOR = 1e-12
-RANK_SIGMA = 0.1
 
 
-def init_head_params(d_in: int, n_bins: int, n_risks: int, hidden: int,
-                     rng: np.random.Generator) -> dict:
+def param_specs(d_in: int, n_bins: int, n_risks: int, hidden: int) -> dict[str, tuple]:
+    """Hazard-head parameter table, in draw order: uniform weights, zero biases."""
     if min(d_in, n_bins, n_risks, hidden) < 1:
         raise ConfigError("head dimensions must all be positive")
-
-    def lin(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return ad.Tensor(rng.uniform(-bound, bound, size=(fan_in, fan_out)), requires_grad=True)
-
     return {
-        "head_w1": lin(d_in, hidden),
-        "head_b1": ad.Tensor(np.zeros(hidden), requires_grad=True),
-        "head_w2": lin(hidden, n_bins * n_risks),
-        "head_b2": ad.Tensor(np.zeros(n_bins * n_risks), requires_grad=True),
+        "head_w1": ad.linear_spec(d_in, hidden),
+        "head_b1": ((hidden,), 0.0, 0.0),
+        "head_w2": ad.linear_spec(hidden, n_bins * n_risks),
+        "head_b2": ((n_bins * n_risks,), 0.0, 0.0),
     }
 
 
@@ -50,7 +44,6 @@ class HazardGrid:
     """
 
     raw: ad.Tensor
-    epsilon: float = HAZARD_EPSILON
     _clamped: ad.Tensor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -68,7 +61,7 @@ class HazardGrid:
     @property
     def clamped(self) -> ad.Tensor:
         if self._clamped is None:
-            ceiling = 1.0 - self.epsilon
+            ceiling = 1.0 - HAZARD_EPSILON
             total = self.raw.data.sum(axis=2, keepdims=True)
             scale = ceiling / np.maximum(total, ceiling)
             self._clamped = ad.straight_through(self.raw, ad.Tensor(self.raw.data * scale))
@@ -160,7 +153,7 @@ def likelihood_loss(hazards: HazardGrid, times, events) -> ad.Tensor:
     return joint * (-1.0 / b)
 
 
-def ranking_loss(incidence: CifGrid, times, events, sigma: float = RANK_SIGMA,
+def ranking_loss(incidence: CifGrid, times, events, sigma: float,
                  risk_weights=None) -> tuple[ad.Tensor, int]:
     """Pairwise concordance penalty on the incidence grid.
 

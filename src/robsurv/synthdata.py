@@ -266,13 +266,16 @@ def load_cohort(data_dir) -> SyntheticCohort:
         raise DataFormatError(f"corrupt manifest: {err}") from None
 
     ids, times, events, risk, noisy = [], [], [], [], []
-    with open(data_dir / "outcomes.csv", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            ids.append(int(rec["patient_id"]))
-            times.append(int(rec["time_bin"]))
-            events.append(int(rec["event"]))
-            risk.append(float(rec["latent_risk"]))
-            noisy.append(bool(int(rec["noisy"])))
+    try:
+        with open(data_dir / "outcomes.csv", newline="") as fh:
+            for rec in csv.DictReader(fh):
+                ids.append(int(rec["patient_id"]))
+                times.append(int(rec["time_bin"]))
+                events.append(int(rec["event"]))
+                risk.append(float(rec["latent_risk"]))
+                noisy.append(bool(int(rec["noisy"])))
+    except (OSError, csv.Error, KeyError, TypeError, ValueError) as err:  # TypeError: short row
+        raise DataFormatError(f"unreadable outcomes.csv: {err}") from None
     if len(ids) != expected_n:
         raise DataFormatError(f"manifest says {expected_n} patients, CSV has {len(ids)}")
 

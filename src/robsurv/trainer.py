@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from . import autodiff as ad
 from . import fusion, stats, survival, vq
 from .errors import (
     ConfigError,
+    ContractError,
     DataFormatError,
     IncompatibleInputError,
     NumericsError,
@@ -76,9 +77,9 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("alpha1", "alpha2", "gamma_q", "gamma_fusion", "gamma_surv"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # written so that NaN fails too
                 raise ConfigError(f"{name} must be nonnegative")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ConfigError("lr must be positive")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2 (ranking needs pairs)")
@@ -88,7 +89,7 @@ class TrainConfig:
             raise ConfigError("epochs and patience must be positive")
         if self.n_bins < 1 or self.n_risks < 1:
             raise ConfigError("n_bins and n_risks must be positive")
-        if self.rank_sigma <= 0:
+        if not self.rank_sigma > 0:
             raise ConfigError("rank_sigma must be positive")
         if self.risk_weights is not None and len(self.risk_weights) != self.n_risks:
             raise ConfigError("risk_weights must have one entry per risk")
@@ -101,14 +102,37 @@ def config_to_dict(config: TrainConfig) -> dict:
     return d
 
 
-def config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["encoder"] = vq.EncoderConfig(**d["encoder"])
-    d["fusion"] = fusion.FusionConfig(**d["fusion"])
-    d["train_noise"] = NoiseSpec(**d["train_noise"])
-    if d.get("risk_weights") is not None:
-        d["risk_weights"] = tuple(d["risk_weights"])
-    return TrainConfig(**d)
+_KINDS = {"int": int, "float": (int, float), "bool": bool}
+_SECTIONS = {"encoder": vq.EncoderConfig, "fusion": fusion.FusionConfig, "train_noise": NoiseSpec}
+
+
+def _build(cls, raw, label: str):
+    """Instantiate dataclass ``cls`` from a parsed JSON object, checking each value's kind."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{label} must be a JSON object, got {raw!r}")
+    types = {f.name: f.type for f in fields(cls)}
+    values = {}
+    for name, value in raw.items():
+        if name not in types:
+            raise ConfigError(f"unknown {label} field: {name}")
+        kind = _KINDS.get(types[name], object)
+        # bool is an int subclass, but JSON true/false only fits a bool field
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+            raise ConfigError(f"{label} field {name} must be {types[name]}, got {value!r}")
+        if name == "risk_weights" and value is not None:
+            if not isinstance(value, list) or {type(w) for w in value} - {int, float}:
+                raise ConfigError(f"risk_weights must be a list of numbers, got {value!r}")
+            value = tuple(value)
+        values[name] = _build(_SECTIONS[name], value, name) if name in _SECTIONS else value
+    return cls(**values)
+
+
+def config_from_dict(raw) -> TrainConfig:
+    """Parse a JSON object of ``TrainConfig`` fields (``encoder``, ``fusion`` and
+    ``train_noise`` as nested objects); absent fields keep their defaults, and
+    unknown keys or malformed values raise ``ConfigError``.
+    """
+    return _build(TrainConfig, raw, "config")
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +175,6 @@ class LossBundle:
     fusion_total: ad.Tensor | None
     likelihood: ad.Tensor
     ranking: ad.Tensor
-    pair_count: int
     total: ad.Tensor
 
 
@@ -168,20 +191,22 @@ class ForwardPass:
     hazards: survival.HazardGrid
 
 
+def param_specs(config: TrainConfig) -> dict[str, tuple]:
+    """Every trainable tensor's (shape, low, high), route-prefixed, in draw order."""
+    tables = [(m, vq.param_specs(config.encoder)) for m in vq.MODALITIES]
+    tables.append(("fuse", fusion.param_specs(config.encoder, config.fusion)))
+    tables.append(("head", survival.param_specs(
+        config.fusion.d_fused, config.n_bins, config.n_risks, hidden=config.fusion.d_fused)))
+    return {f"{prefix}.{name}": spec for prefix, table in tables for name, spec in table.items()}
+
+
 def init_model_params(config: TrainConfig, rng: np.random.Generator) -> dict:
-    """All trainable tensors in one flat dict with route prefixes."""
-    params: dict[str, ad.Tensor] = {}
+    """All trainable tensors in one flat dict with route prefixes; codebook rows distinct."""
+    params = ad.init_params(param_specs(config), rng)
     for m in vq.MODALITIES:
-        for key, tensor in vq.init_vq_params(config.encoder, rng).items():
-            params[f"{m}.{key}"] = tensor
-    for key, tensor in fusion.init_fusion_params(config.encoder, config.fusion, rng).items():
-        params[f"fuse.{key}"] = tensor
-    head = survival.init_head_params(
-        config.fusion.d_fused, config.n_bins, config.n_risks,
-        hidden=config.fusion.d_fused, rng=rng,
-    )
-    for key, tensor in head.items():
-        params[f"head.{key}"] = tensor
+        codebook = params[f"{m}.codebook"].data
+        if len(np.unique(codebook, axis=0)) != len(codebook):
+            raise ContractError(f"{m} codebook initialisation produced duplicate rows")
     return params
 
 
@@ -270,13 +295,11 @@ class SurvivalModel:
             fusion_term = fusion.fusion_losses(fwd.discrete, cfg.fusion).total
         likelihood = survival.likelihood_loss(fwd.hazards, times_binned, events)
         incidence = survival.cif(fwd.hazards)
-        weights = list(cfg.risk_weights) if cfg.risk_weights is not None else None
-        ranking, pairs = survival.ranking_loss(
-            incidence, times_binned, events, sigma=cfg.rank_sigma, risk_weights=weights)
+        ranking, _ = survival.ranking_loss(
+            incidence, times_binned, events, sigma=cfg.rank_sigma, risk_weights=cfg.risk_weights)
         total = total_loss(quant, fusion_term, likelihood + ranking, cfg)
         return LossBundle(quantization=quant, fusion_total=fusion_term,
-                          likelihood=likelihood, ranking=ranking,
-                          pair_count=pairs, total=total)
+                          likelihood=likelihood, ranking=ranking, total=total)
 
     # -- inference ----------------------------------------------------------
 
@@ -316,6 +339,7 @@ class SurvivalModel:
 
     @classmethod
     def load(cls, path) -> "SurvivalModel":
+        """Read a saved model; any fault in the file raises ``DataFormatError``."""
         path = Path(path)
         if not path.is_file():
             raise DataFormatError(f"no model file at {path}")
@@ -323,20 +347,22 @@ class SurvivalModel:
             payload = json.loads(path.read_text())
             if payload["format_version"] != MODEL_FORMAT_VERSION:
                 raise DataFormatError(f"unsupported model format {payload['format_version']}")
+            # save writes every field, so a missing one means a damaged file
+            missing = sorted({f.name for f in fields(TrainConfig)} - set(payload["config"]))
+            if missing:
+                raise DataFormatError(f"config lacks {', '.join(missing)}")
             config = config_from_dict(payload["config"])
             params = {k: ad.Tensor(np.asarray(v, dtype=float), requires_grad=True)
                       for k, v in payload["params"].items()}
-            edges = np.asarray(payload["bin_edges"], dtype=float)
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise DataFormatError(f"corrupt model file: {err}") from None
-        reference = init_model_params(config, np.random.default_rng(0))
-        if set(params) != set(reference):
-            raise DataFormatError("model parameters do not match the configured architecture")
-        for k, tensor in params.items():
-            if tensor.shape != reference[k].shape:
-                raise DataFormatError(
-                    f"parameter {k} has shape {tensor.shape}, expected {reference[k].shape}")
-        return cls(params, config, edges)
+            shapes = {k: shape for k, (shape, _, _) in param_specs(config).items()}
+            wrong = sorted(k for k in shapes.keys() | params.keys()
+                           if k not in params or params[k].shape != shapes.get(k))
+            if wrong:
+                raise DataFormatError(f"parameters {', '.join(wrong)} do not match the config")
+            return cls(params, config, payload["bin_edges"])
+        # ConfigError, DataFormatError, JSONDecodeError and ragged arrays are ValueErrors
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
+            raise DataFormatError(f"bad model file {path}: {err}") from None
 
 
 # ---------------------------------------------------------------------------

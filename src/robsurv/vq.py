@@ -24,14 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, straight_through
+from .autodiff import Tensor
 from .errors import ConfigError, ContractError, ShapeError
 
 __all__ = [
     "EncoderConfig", "LatentPair", "VqLossBreakdown", "ModalityVqLoss",
-    "CodebookHealth", "MODALITIES", "init_vq_params", "encode", "decode",
-    "quantize", "straight_through", "vq_losses", "modality_total",
-    "codebook_health",
+    "CodebookHealth", "MODALITIES", "param_specs", "encode", "decode",
+    "quantize", "vq_losses", "codebook_health",
 ]
 
 MODALITIES = ("ct", "pet")
@@ -74,12 +73,6 @@ class EncoderConfig:
     def n_voxels(self) -> int:
         return self.volume_side ** 3
 
-    @classmethod
-    def large_preset(cls) -> "EncoderConfig":
-        # full-resolution setting: 128^3 volumes, 8^3 token grid,
-        # 512 channels, 1024-entry codebooks
-        return cls(volume_side=128, latent_grid=8, latent_dim=512, codebook_size=1024)
-
 
 @dataclass
 class LatentPair:
@@ -110,40 +103,21 @@ class CodebookHealth:
     dead_entries: int
 
 
-def init_vq_params(cfg: EncoderConfig, rng: np.random.Generator) -> dict[str, Tensor]:
-    """Fresh encoder/decoder/codebook parameters for one modality.
+def param_specs(cfg: EncoderConfig) -> dict[str, tuple]:
+    """Encoder/decoder/codebook parameter table for one modality, in draw order.
 
     Linear weights are uniform +-1/sqrt(fan_in), biases zero, codebook rows
-    uniform +-1/codebook_size (all rows distinct with probability one; we
-    assert it anyway).
+    uniform +-1/codebook_size.
     """
-    d = cfg.latent_dim
-    bv = cfg.block_voxels
-    k = cfg.codebook_size
-
-    def lin(fan_in, shape):
-        bound = 1.0 / np.sqrt(fan_in)
-        return ad.uniform(shape, -bound, bound, seed=rng, requires_grad=True)
-
-    params = {
-        "enc_in_w": lin(bv, (bv, d)),
-        "enc_in_b": ad.zeros((d,), requires_grad=True),
-        "enc_res_w1": lin(d, (d, d)),
-        "enc_res_b1": ad.zeros((d,), requires_grad=True),
-        "enc_res_w2": lin(d, (d, d)),
-        "enc_res_b2": ad.zeros((d,), requires_grad=True),
-        "dec_res_w1": lin(d, (d, d)),
-        "dec_res_b1": ad.zeros((d,), requires_grad=True),
-        "dec_res_w2": lin(d, (d, d)),
-        "dec_res_b2": ad.zeros((d,), requires_grad=True),
-        "dec_out_w": lin(d, (d, bv)),
-        "dec_out_b": ad.zeros((bv,), requires_grad=True),
-        "codebook": ad.uniform((k, d), -1.0 / k, 1.0 / k, seed=rng, requires_grad=True),
-    }
-    cb = params["codebook"].data
-    if len(np.unique(cb, axis=0)) != k:
-        raise ContractError("codebook initialisation produced duplicate rows")
-    return params
+    d, bv, k = cfg.latent_dim, cfg.block_voxels, cfg.codebook_size
+    specs = {"enc_in_w": ad.linear_spec(bv, d), "enc_in_b": ((d,), 0.0, 0.0)}
+    for prefix in ("enc_res", "dec_res"):  # the two residual MLPs, see _residual_mlp
+        for i in (1, 2):
+            specs[f"{prefix}_w{i}"] = ad.linear_spec(d, d)
+            specs[f"{prefix}_b{i}"] = ((d,), 0.0, 0.0)
+    specs.update(dec_out_w=ad.linear_spec(d, bv), dec_out_b=((bv,), 0.0, 0.0),
+                 codebook=((k, d), -1.0 / k, 1.0 / k))
+    return specs
 
 
 def _residual_mlp(h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -216,14 +190,6 @@ def quantize(z_e: Tensor, codebook: Tensor) -> LatentPair:
     return LatentPair(z_e=z_e, z_q=z_q, indices=idx.reshape(b, g))
 
 
-def modality_total(cb: Tensor, ce: Tensor, recon: Tensor,
-                   alpha1: float, alpha2: float) -> Tensor:
-    """Weighted per-modality quantization objective."""
-    if alpha1 < 0 or alpha2 < 0:
-        raise ConfigError("loss weights must be non-negative")
-    return cb + alpha1 * ce + alpha2 * recon
-
-
 def vq_losses(volumes: dict[str, Tensor], latents: dict[str, LatentPair],
               recons: dict[str, Tensor], alpha1: float = 0.25,
               alpha2: float = 1.0) -> VqLossBreakdown:
@@ -232,7 +198,8 @@ def vq_losses(volumes: dict[str, Tensor], latents: dict[str, LatentPair],
     Each term is a mean over every latent position and channel (voxel for
     the reconstruction), so weights stay comparable across grid sizes.
     The codebook and commitment terms share one value and differ only in
-    which side the gradient reaches.
+    which side the gradient reaches.  Each modality totals codebook + alpha1 *
+    commitment + alpha2 * reconstruction (``TrainConfig`` rejects negative alphas).
     """
     per: dict[str, ModalityVqLoss] = {}
     total: Tensor | None = None
@@ -244,7 +211,7 @@ def vq_losses(volumes: dict[str, Tensor], latents: dict[str, LatentPair],
         ce = (diff_ce * diff_ce).mean()
         diff_rec = volumes[m] - recons[m]
         recon = (diff_rec * diff_rec).mean()
-        m_total = modality_total(cb, ce, recon, alpha1, alpha2)
+        m_total = cb + alpha1 * ce + alpha2 * recon
         per[m] = ModalityVqLoss(cb, ce, recon, m_total)
         total = m_total if total is None else total + m_total
     if total is None:

@@ -83,7 +83,7 @@ def _check_commitment_loss(seed):
 
 def _check_reconstruction_loss(seed):
     rng = np.random.default_rng([41, seed])
-    params = vq.init_vq_params(GRAD_ENC, rng)
+    params = ad.init_params(vq.param_specs(GRAD_ENC), rng)
     latent = ad.Tensor(rng.normal(0.0, 0.5, (2, 3, 8)))
     target = ad.Tensor(rng.uniform(0.0, 1.0, (2, 64)))
 
@@ -97,7 +97,7 @@ def _check_reconstruction_loss(seed):
 
 def _fusion_state(seed):
     rng = np.random.default_rng([43, seed])
-    params = fusion.init_fusion_params(GRAD_ENC, GRAD_FUS, rng)
+    params = ad.init_params(fusion.param_specs(GRAD_ENC, GRAD_FUS), rng)
     z_ct = ad.Tensor(rng.normal(0.0, 0.5, (2, 3, 8)))
     z_pet = ad.Tensor(rng.normal(0.0, 0.5, (2, 3, 8)))
     return params, z_ct, z_pet
@@ -135,7 +135,7 @@ def _check_fusion_total(seed):
 
 def _head_state(seed, n_bins=4, n_risks=2):
     rng = np.random.default_rng([47, seed])
-    params = survival.init_head_params(5, n_bins, n_risks, hidden=6, rng=rng)
+    params = ad.init_params(survival.param_specs(5, n_bins, n_risks, hidden=6), rng)
     params["head_b2"].data[...] = -3.0  # keeps the hazard cap inactive
     features = ad.Tensor(rng.normal(0.0, 0.5, (3, 5)))
     times = np.array([1, 3, 2])
@@ -259,7 +259,7 @@ def test_criterion_02_vq_properties():
     if z.grad is None or cb.grad is not None:
         problems.append("commitment-routing")
     ad.reset_graph()
-    params = vq.init_vq_params(GRAD_ENC, np.random.default_rng(7))
+    params = ad.init_params(vq.param_specs(GRAD_ENC), np.random.default_rng(7))
     vol = ad.Tensor(rng.uniform(0.0, 1.0, (2, 64)))
     z_e = vq.encode(vol, params, GRAD_ENC)
     pair = vq.quantize(z_e, params["codebook"])

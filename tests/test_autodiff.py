@@ -15,28 +15,19 @@ def rng_for(seed):
 # construction
 
 
-def test_factories_basic():
-    z = ad.zeros((2, 3))
-    assert z.shape == (2, 3) and not z.data.any()
-    c = ad.full((4,), 2.5)
-    assert np.array_equal(c.data, np.full(4, 2.5))
-    u1 = ad.uniform((8,), -1.0, 1.0, seed=7)
-    u2 = ad.uniform((8,), -1.0, 1.0, seed=7)
-    assert np.array_equal(u1.data, u2.data)
-    assert u1.data.dtype == np.float64
-
-
-@pytest.mark.parametrize("shape", [(0,), (2, 0), (-1, 3)])
-def test_invalid_shape_rejected(shape):
-    with pytest.raises(ShapeError):
-        ad.zeros(shape)
-
-
-def test_random_init_requires_seed():
-    from robsurv.errors import ConfigError
-
-    with pytest.raises(ConfigError):
-        ad.uniform((3,), seed=None)
+def test_init_params_draws_in_table_order():
+    specs = {"w": ad.linear_spec(4, 3), "b": ((3,), 0.0, 0.0), "mix": ((), 0.5, 0.5),
+             "v": ((2, 5), -0.1, 0.1)}
+    params = ad.init_params(specs, rng_for(7))
+    assert list(params) == ["w", "b", "mix", "v"]
+    assert all(t.requires_grad and t.data.dtype == np.float64 for t in params.values())
+    assert params["w"].shape == (4, 3) and np.all(np.abs(params["w"].data) <= 0.5)
+    assert np.array_equal(params["b"].data, np.zeros(3))
+    assert params["mix"].shape == () and params["mix"].item() == 0.5
+    # constants take no draws: the uniform entries consume the stream back to back
+    rng = rng_for(7)
+    assert np.array_equal(params["w"].data, rng.uniform(-0.5, 0.5, size=(4, 3)))
+    assert np.array_equal(params["v"].data, rng.uniform(-0.1, 0.1, size=(2, 5)))
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,18 @@ def read_tree(directory: Path) -> dict:
     return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
 
 
+def copy_tree(source: Path, target: Path) -> Path:
+    target.mkdir()
+    for path in source.iterdir():
+        (target / path.name).write_bytes(path.read_bytes())
+    return target
+
+
+def assert_one_error_line(err: str) -> None:
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -132,10 +144,7 @@ def test_train_missing_data_dir(tmp_path, capsys):
 
 
 def test_train_corrupt_manifest(workspace, tmp_path, capsys):
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for path in workspace["data"].iterdir():
-        (broken / path.name).write_bytes(path.read_bytes())
+    broken = copy_tree(workspace["data"], tmp_path / "broken")
     (broken / "manifest.json").write_text("{definitely not json")
     code, _, _ = run_cli(["train", "--data", broken, "--config", workspace["config"],
                           "--out", tmp_path / "run"], capsys)
@@ -155,13 +164,35 @@ def test_train_volume_side_mismatch(workspace, tmp_path, capsys):
     json.dumps({"not_a_field": 1}),
     json.dumps({"epochs": 0}),
     json.dumps({"encoder": {"bogus": 1}}),
+    json.dumps({"encoder": 5}),
+    json.dumps({"risk_weights": 5}),
 ])
 def test_train_bad_config_file(workspace, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(content)
-    code, _, _ = run_cli(["train", "--data", workspace["data"], "--config", cfg,
-                          "--out", tmp_path / "run"], capsys)
+    code, _, err = run_cli(["train", "--data", workspace["data"], "--config", cfg,
+                            "--out", tmp_path / "run"], capsys)
     assert code == 2
+    assert_one_error_line(err)
+
+
+@pytest.mark.parametrize("damage", ["delete", "non-integer", "short row", "no column"])
+def test_train_bad_outcomes_csv(workspace, tmp_path, capsys, damage):
+    data = copy_tree(workspace["data"], tmp_path / "data")
+    csv_path = data / "outcomes.csv"
+    lines = csv_path.read_text().splitlines()
+    if damage == "delete":
+        csv_path.unlink()
+    elif damage == "non-integer":
+        csv_path.write_text("\n".join([lines[0], lines[1].replace(",", ".5,", 1)] + lines[2:]))
+    elif damage == "short row":
+        csv_path.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:]))
+    else:
+        csv_path.write_text("\n".join([lines[0].replace("time_bin", "tbin")] + lines[1:]))
+    code, _, err = run_cli(["train", "--data", data, "--config", workspace["config"],
+                            "--out", tmp_path / "run"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
 
 
 def test_train_missing_config_file(workspace, tmp_path, capsys):
@@ -235,6 +266,23 @@ def test_eval_invalid_noise_flags(workspace, tmp_path, capsys):
                           "--data", workspace["data"], "--noise-ct", "0.07",
                           "--noise-frac", "0.5", "--out", tmp_path / "x"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # ragged
+    lambda p: p["config"].__setitem__("lr", -1),
+    lambda p: p["config"].pop("epochs"),
+    lambda p: p["config"].__setitem__("encoder", 5),
+], ids=["ragged-params", "negative-lr", "missing-field", "encoder-not-object"])
+def test_eval_bad_model_file(workspace, tmp_path, capsys, edit):
+    payload = json.loads(workspace["model"].read_text())
+    edit(payload)
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(payload))
+    code, _, err = run_cli(["eval", "--model", bad, "--data", workspace["data"],
+                            "--out", tmp_path / "x"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
 
 
 def test_eval_missing_model(workspace, tmp_path, capsys):

@@ -19,7 +19,7 @@ def _fresh_graph():
 
 
 def make_params(seed=0, enc=ENC, cfg=CFG):
-    return fusion.init_fusion_params(enc, cfg, np.random.default_rng(seed))
+    return ad.init_params(fusion.param_specs(enc, cfg), np.random.default_rng(seed))
 
 
 def rand_latent(seed, enc=ENC, batch=2):
@@ -46,7 +46,7 @@ def test_patch_counts():
     assert CFG.n_patches(ENC) == 8
     assert CFG.patch_input_dim(ENC) == 48
     big = fusion.FusionConfig()
-    assert big.n_patches(EncoderConfig.large_preset()) == 64
+    assert big.n_patches(EncoderConfig(128, 8, 512, 1024)) == 64
 
 
 def test_positional_table():
@@ -362,7 +362,7 @@ SMALL_CFG = fusion.FusionConfig(d_model=4, d_k=3, n_heads=1, patch_size=2, chann
 @pytest.mark.parametrize("seed", range(5))
 def test_discrete_route_gradients_fd(seed):
     rng = np.random.default_rng((201, seed))
-    params = fusion.init_fusion_params(SMALL_ENC, SMALL_CFG, rng)
+    params = ad.init_params(fusion.param_specs(SMALL_ENC, SMALL_CFG), rng)
     z_ct = ad.Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     z_pet = ad.Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     leaves = [z_ct, z_pet, params["wq_ct"], params["wk_pet"], params["wv_pet"],
@@ -379,7 +379,7 @@ def test_discrete_route_gradients_fd(seed):
 @pytest.mark.parametrize("seed", range(5))
 def test_continuous_route_gradients_fd(seed):
     rng = np.random.default_rng((202, seed))
-    params = fusion.init_fusion_params(SMALL_ENC, SMALL_CFG, rng)
+    params = ad.init_params(fusion.param_specs(SMALL_ENC, SMALL_CFG), rng)
     z_ct = ad.Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     z_pet = ad.Tensor(rng.normal(size=(2, 3, 8)), requires_grad=True)
     leaves = [z_ct, z_pet, params["chan_w1"], params["chan_w2"], params["chan_b1"],
@@ -395,7 +395,7 @@ def test_continuous_route_gradients_fd(seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_fuse_final_gradients_fd(seed):
     rng = np.random.default_rng((203, seed))
-    params = fusion.init_fusion_params(SMALL_ENC, SMALL_CFG, rng)
+    params = ad.init_params(fusion.param_specs(SMALL_ENC, SMALL_CFG), rng)
     f_disc = ad.Tensor(rng.normal(size=(2, 1, SMALL_CFG.d_model)), requires_grad=True)
     f_cont = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     weight = ad.Tensor(rng.normal(size=(2, SMALL_CFG.d_fused)))

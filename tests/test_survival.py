@@ -5,6 +5,9 @@ from gradcheck import check_gradients
 from robsurv import autodiff as ad
 from robsurv import survival as sv
 from robsurv.errors import ConfigError, InvalidOutcomeError, ShapeError
+from robsurv.trainer import TrainConfig
+
+SIGMA = TrainConfig().rank_sigma
 
 
 @pytest.fixture(autouse=True)
@@ -36,20 +39,20 @@ def test_zero_parameters_give_half_hazards():
 
 def test_hazards_strictly_inside_unit_interval():
     rng = np.random.default_rng(0)
-    params = sv.init_head_params(4, n_bins=5, n_risks=2, hidden=6, rng=rng)
+    params = ad.init_params(sv.param_specs(4, n_bins=5, n_risks=2, hidden=6), rng)
     hz = sv.hazard_forward(ad.Tensor(rng.normal(size=(3, 4))), params, 5, 2)
     assert np.all(hz.raw.data > 0) and np.all(hz.raw.data < 1)
 
 
 def test_head_shape_errors():
     rng = np.random.default_rng(1)
-    params = sv.init_head_params(4, 5, 2, 6, rng)
+    params = ad.init_params(sv.param_specs(4, 5, 2, 6), rng)
     with pytest.raises(ShapeError):
         sv.hazard_forward(ad.Tensor(np.zeros((2, 4))), params, n_bins=5, n_risks=3)
     with pytest.raises(ShapeError):
         sv.hazard_forward(ad.Tensor(np.zeros(4)), params, 5, 2)
     with pytest.raises(ConfigError):
-        sv.init_head_params(0, 5, 2, 6, rng)
+        sv.param_specs(0, 5, 2, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +207,7 @@ def test_ranking_equal_curves_score_one():
     inc = sv.CifGrid(values=ad.Tensor(values), survival=ad.Tensor(np.full(4, 0.7)))
     times = np.array([1, 2, 3, 2])
     events = np.array([1, 1, 0, 0])
-    loss, pairs = sv.ranking_loss(inc, times, events)
+    loss, pairs = sv.ranking_loss(inc, times, events, sigma=SIGMA)
     assert pairs == 4
     assert loss.item() == pytest.approx(1.0, rel=1e-12)
 
@@ -212,7 +215,7 @@ def test_ranking_equal_curves_score_one():
 def test_ranking_no_comparable_pairs():
     values = np.random.default_rng(3).uniform(size=(3, 2, 1))
     inc = sv.CifGrid(values=ad.Tensor(values), survival=ad.Tensor(np.zeros(3)))
-    loss, pairs = sv.ranking_loss(inc, np.array([1, 1, 1]), np.array([0, 0, 1]))
+    loss, pairs = sv.ranking_loss(inc, np.array([1, 1, 1]), np.array([0, 0, 1]), sigma=SIGMA)
     assert pairs == 0
     assert loss.item() == 0.0
 
@@ -224,10 +227,10 @@ def test_ranking_rewards_concordant_curves():
     times = np.array([1, 2])
     events = np.array([1, 0])
     surv = ad.Tensor(np.zeros(2))
-    good, _ = sv.ranking_loss(sv.CifGrid(ad.Tensor(concordant), surv), times, events)
-    bad, _ = sv.ranking_loss(sv.CifGrid(ad.Tensor(reversed_), surv), times, events)
+    good, _ = sv.ranking_loss(sv.CifGrid(ad.Tensor(concordant), surv), times, events, sigma=SIGMA)
+    bad, _ = sv.ranking_loss(sv.CifGrid(ad.Tensor(reversed_), surv), times, events, sigma=SIGMA)
     assert good.item() < bad.item()
-    assert good.item() == pytest.approx(np.exp((0.1 - 0.9) / sv.RANK_SIGMA), rel=1e-12)
+    assert good.item() == pytest.approx(np.exp((0.1 - 0.9) / SIGMA), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -252,7 +255,8 @@ def test_ranking_config_errors():
     with pytest.raises(ConfigError):
         sv.ranking_loss(inc, np.array([1, 2]), np.array([1, 0]), sigma=0.0)
     with pytest.raises(ConfigError):
-        sv.ranking_loss(inc, np.array([1, 2]), np.array([1, 0]), risk_weights=[1.0, 2.0])
+        sv.ranking_loss(inc, np.array([1, 2]), np.array([1, 0]), sigma=SIGMA,
+                        risk_weights=[1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,7 @@ def test_ranking_config_errors():
 
 def _head_state(seed, b=3, d=4, p=3, k=2):
     rng = np.random.default_rng((301, seed))
-    params = sv.init_head_params(d, p, k, hidden=5, rng=rng)
+    params = ad.init_params(sv.param_specs(d, p, k, hidden=5), rng)
     params["head_b2"].data[...] = -1.5
     feats = ad.Tensor(rng.normal(size=(b, d)), requires_grad=True)
     times = rng.integers(1, p + 1, size=b)

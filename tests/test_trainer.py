@@ -9,6 +9,7 @@ from robsurv import autodiff as ad
 from robsurv import fusion, stats, synthdata, trainer, vq
 from robsurv.errors import (
     ConfigError,
+    ContractError,
     DataFormatError,
     IncompatibleInputError,
     TrainingDivergedError,
@@ -70,6 +71,47 @@ def test_config_dict_round_trip():
     d = trainer.config_to_dict(cfg)
     json.dumps(d)  # must already be JSON-serializable
     assert trainer.config_from_dict(d) == cfg
+
+
+def test_config_from_dict_partial_and_nested():
+    cfg = trainer.config_from_dict({"epochs": 7, "lr": 1, "risk_weights": None,
+                                    "encoder": {"latent_dim": 8},
+                                    "train_noise": {"pet_level": "low", "noisy_fraction": 1}})
+    assert cfg == trainer.TrainConfig(epochs=7, lr=1, encoder=vq.EncoderConfig(latent_dim=8),
+                                      train_noise=synthdata.NoiseSpec(pet_level="low",
+                                                                      noisy_fraction=1))
+    assert trainer.config_from_dict({}) == trainer.TrainConfig()
+    assert trainer.config_from_dict({"n_risks": 2, "risk_weights": [1, 0.5]}).risk_weights == (1, 0.5)
+
+
+@pytest.mark.parametrize("raw", [
+    [],
+    {"not_a_field": 1},
+    {"encoder": 5},
+    {"encoder": {"bogus": 1}},
+    {"fusion": None},
+    {"train_noise": {"ct_sigma": 0.2}},
+    {"risk_weights": 5},
+    {"risk_weights": ["a"]},
+    {"risk_weights": [True]},
+    {"epochs": "3"},
+    {"batch_size": 2.5},
+    {"lr": None},
+    {"lr": -1},
+    {"lr": float("nan")},
+    {"alpha2": float("nan")},
+    {"rank_sigma": float("nan")},
+    {"fusion": {"preserve_weight_pet": float("nan")}},
+    {"use_quantization": 1},
+    {"seed": True},
+    {"encoder": {"latent_dim": 1.5}},
+    {"fusion": {"d_model": "8"}},
+    {"fusion": {"preserve_weight_pet": True}},
+    {"train_noise": {"noisy_fraction": "0.5"}},
+])
+def test_config_from_dict_rejects(raw):
+    with pytest.raises(ConfigError):
+        trainer.config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +250,25 @@ def test_zero_fusion_weight_drops_term_exactly(cohort24):
 
 # ---------------------------------------------------------------------------
 # model mechanics
+
+
+def test_param_specs_match_init():
+    cfg = trainer.TrainConfig()
+    specs = trainer.param_specs(cfg)
+    params = trainer.init_model_params(cfg, np.random.default_rng(0))
+    assert list(params) == list(specs)
+    assert all(params[k].shape == shape for k, (shape, _, _) in specs.items())
+    assert sum(t.size for t in params.values()) == 436255
+    assert params["fuse.mix_ct"].item() == 0.5 and not params["head.head_b2"].data.any()
+
+
+def test_duplicate_codebook_rows_refused():
+    class FlatRng:
+        def uniform(self, low, high, size):
+            return np.zeros(size)
+
+    with pytest.raises(ContractError):
+        trainer.init_model_params(tiny_config(), FlatRng())
 
 
 def test_init_params_deterministic():
@@ -483,3 +544,38 @@ def test_load_rejects_bad_files(trained, tmp_path):
     bad.write_text(json.dumps(payload))
     with pytest.raises(DataFormatError):
         trainer.SurvivalModel.load(bad)
+    for corrupt in BAD_MODEL_EDITS:
+        payload = json.loads(path.read_text())
+        corrupt(payload)
+        bad.write_text(json.dumps(payload))
+        with pytest.raises(DataFormatError):
+            trainer.SurvivalModel.load(bad)
+
+
+# each edit damages one part of a saved model file
+BAD_MODEL_EDITS = [
+    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # ragged
+    lambda p: p["params"].__setitem__("head.head_b1", "zeros"),
+    lambda p: p.__setitem__("params", []),
+    lambda p: p["config"].__setitem__("lr", -1),
+    lambda p: p["config"].__setitem__("encoder", 5),
+    lambda p: p["config"].__setitem__("bogus", 1),
+    lambda p: p["config"].pop("rank_sigma"),
+    lambda p: p["config"]["fusion"].pop("d_model"),  # default width, saved shapes differ
+    lambda p: p.__setitem__("config", 3),
+    lambda p: p.__setitem__("bin_edges", [0.5]),
+    lambda p: p.__setitem__("bin_edges", [[1.0], 2.0]),
+]
+
+
+def test_load_reads_shapes_from_the_table(trained, tmp_path, monkeypatch):
+    model, _ = trained
+    path = tmp_path / "model.json"
+    model.save(path)
+
+    def refuse(config, rng):
+        raise AssertionError("load drew a random model")
+
+    monkeypatch.setattr(trainer, "init_model_params", refuse)
+    loaded = trainer.SurvivalModel.load(path)
+    assert all(np.array_equal(loaded.params[k].data, model.params[k].data) for k in model.params)

@@ -4,14 +4,14 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import check_gradients
 from robsurv import autodiff as ad
-from robsurv import vq
+from robsurv import trainer, vq
 from robsurv.errors import ConfigError, ContractError, ShapeError
 
 CFG = vq.EncoderConfig(volume_side=8, latent_grid=2, latent_dim=6, codebook_size=5)
 
 
 def make_params(seed=0, cfg=CFG):
-    return vq.init_vq_params(cfg, np.random.default_rng(seed))
+    return ad.init_params(vq.param_specs(cfg), np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,8 @@ def test_config_validation():
 
 
 def test_large_preset_geometry():
-    cfg = vq.EncoderConfig.large_preset()
+    # full-resolution setting: 128^3 volumes, 8^3 token grid, 512 channels, 1024 codes
+    cfg = vq.EncoderConfig(128, 8, 512, 1024)
     assert cfg.volume_side == 128
     assert cfg.latent_grid == 8
     assert cfg.latent_dim == 512
@@ -55,7 +56,7 @@ def test_zero_volume_zero_bias_gives_zero_latent():
     params = make_params(4)
     out = vq.encode(np.zeros((2, CFG.n_voxels)), params, CFG)
     assert not out.data.any()
-    rec = vq.decode(ad.zeros((2, CFG.latent_dim, CFG.grid_voxels)), params, CFG)
+    rec = vq.decode(ad.Tensor(np.zeros((2, CFG.latent_dim, CFG.grid_voxels))), params, CFG)
     assert not rec.data.any()
     ad.reset_graph()
 
@@ -75,7 +76,7 @@ def test_encode_rejects_bad_shape():
     with pytest.raises(ShapeError):
         vq.encode(np.zeros((2, CFG.n_voxels + 1)), params, CFG)
     with pytest.raises(ShapeError):
-        vq.decode(ad.zeros((2, CFG.latent_dim + 1, CFG.grid_voxels)), params, CFG)
+        vq.decode(ad.Tensor(np.zeros((2, CFG.latent_dim + 1, CFG.grid_voxels))), params, CFG)
 
 
 def test_block_layout_roundtrip():
@@ -185,7 +186,7 @@ def test_straight_through_latent_values():
     cb = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     z = ad.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
     pair = vq.quantize(z, cb)
-    st_latent = vq.straight_through(pair.z_e, pair.z_q)
+    st_latent = ad.straight_through(pair.z_e, pair.z_q)
     assert np.array_equal(st_latent.data, pair.z_q.data)
     ad.backward(st_latent.sum())
     assert np.array_equal(z.grad, np.ones_like(z.data))
@@ -198,15 +199,15 @@ def _vq_state(seed, cfg=CFG):
     params = {m: make_params(seed + i, cfg) for i, m in enumerate(vq.MODALITIES)}
     vols = {m: ad.Tensor(rng.uniform(size=(2, cfg.n_voxels))) for m in vq.MODALITIES}
 
-    def build_breakdown():
+    def build_breakdown(**alphas):
         latents, recons = {}, {}
         for m in vq.MODALITIES:
             z_e = vq.encode(vols[m], params[m], cfg)
             pair = vq.quantize(z_e, params[m]["codebook"])
             latents[m] = pair
-            st_latent = vq.straight_through(pair.z_e, pair.z_q)
+            st_latent = ad.straight_through(pair.z_e, pair.z_q)
             recons[m] = vq.decode(st_latent, params[m], cfg)
-        return vq.vq_losses(vols, latents, recons)
+        return vq.vq_losses(vols, latents, recons, **alphas)
 
     return params, vols, build_breakdown
 
@@ -256,26 +257,29 @@ def test_perfect_quantization_gives_zero_cb_ce():
 
 
 def test_modality_total_composition():
-    cb = ad.Tensor(0.5)
-    ce = ad.Tensor(0.4)
-    recon = ad.Tensor(0.2)
-    total = vq.modality_total(cb, ce, recon, alpha1=0.25, alpha2=1.0)
-    assert total.item() == 0.5 + 0.25 * 0.4 + 1.0 * 0.2
-    assert abs(total.item() - 0.8) <= 1e-15
+    _, _, build = _vq_state(25)
+    for alpha1, alpha2 in ((0.25, 1.0), (0.5, 0.3), (0.0, 0.0)):
+        bd = build(alpha1=alpha1, alpha2=alpha2)
+        for m in vq.MODALITIES:
+            part = bd.per_modality[m]
+            expected = (part.codebook.item() + alpha1 * part.commitment.item()
+                        + alpha2 * part.reconstruction.item())
+            assert part.total.item() == expected
+        assert bd.total.item() == bd.per_modality["ct"].total.item() + bd.per_modality["pet"].total.item()
+    # the weights are validated once, where they are configured
     with pytest.raises(ConfigError):
-        vq.modality_total(cb, ce, recon, alpha1=-0.1, alpha2=1.0)
+        trainer.TrainConfig(alpha1=-0.1)
+    with pytest.raises(ConfigError):
+        trainer.TrainConfig(alpha2=-0.1)
+    ad.reset_graph()
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_total_monotone_in_weights(seed):
     _, _, build = _vq_state(30 + seed)
-    bd = build()
-    cb = bd.per_modality["ct"].codebook.item()
-    ce = bd.per_modality["ct"].commitment.item()
-    rec = bd.per_modality["ct"].reconstruction.item()
-    base = vq.modality_total(ad.Tensor(cb), ad.Tensor(ce), ad.Tensor(rec), 0.25, 1.0).item()
-    up1 = vq.modality_total(ad.Tensor(cb), ad.Tensor(ce), ad.Tensor(rec), 0.35, 1.0).item()
-    up2 = vq.modality_total(ad.Tensor(cb), ad.Tensor(ce), ad.Tensor(rec), 0.25, 1.3).item()
+    base = build().per_modality["ct"].total.item()
+    up1 = build(alpha1=0.35).per_modality["ct"].total.item()
+    up2 = build(alpha2=1.3).per_modality["ct"].total.item()
     assert up1 >= base and up2 >= base
     ad.reset_graph()
 
@@ -320,7 +324,7 @@ def test_reconstruction_gradient_fd(seed):
     # quantized latent treated as the given input of the decode path
     cfg = vq.EncoderConfig(volume_side=4, latent_grid=2, latent_dim=3, codebook_size=4)
     rng = np.random.default_rng((103, seed))
-    params = vq.init_vq_params(cfg, rng)
+    params = ad.init_params(vq.param_specs(cfg), rng)
     z_disc = ad.Tensor(rng.normal(size=(1, 3, cfg.grid_voxels)), requires_grad=True)
     vol = ad.Tensor(rng.uniform(size=(1, cfg.n_voxels)), requires_grad=True)
     leaves = [z_disc, vol, params["dec_res_w1"], params["dec_out_w"], params["dec_out_b"]]
