@@ -9,8 +9,15 @@ grad it is about to touch and therefore reproduces identical results.
 
 Rules kept deliberately narrow:
 
-* float64 everywhere; any primitive that produces a non-finite value
-  raises ``NumericsError`` instead of letting NaN/Inf propagate.
+* float64 everywhere.  The primitives that can turn finite operands into
+  NaN/Inf check their forward output and raise ``NumericsError``: add,
+  sub, mul, div, matmul, exp, cumsum and cumprod.  ``log`` and
+  ``cumprod`` raise ``DomainError`` on a non-positive operand.  The
+  remaining primitives do not check; a sum or a norm can still overflow
+  to Inf.
+  `backward` checks only the gradient of each leaf (a tensor no record
+  produced), once: a non-finite adjoint cannot vanish on its way to a
+  leaf, because ``x*0``, ``inf-inf`` and ``0*inf`` are all NaN.
 * broadcasting is restricted to leading-axis and trailing-singleton
   patterns, which keeps every backward rule a sum over an axis prefix
   or suffix followed by a reshape.
@@ -25,6 +32,7 @@ of a frozen model allocates no tape and is safe to run concurrently.
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -38,7 +46,7 @@ __all__ = [
     "as_tensor", "linear_spec", "init_params",
     "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sigmoid", "relu", "softmax", "l2norm",
-    "concat", "reshape", "transpose", "slice_along", "take_rows",
+    "cumsum", "cumprod", "concat", "reshape", "transpose", "slice_along", "take_rows",
     "detach", "straight_through", "clip_passthrough",
 ]
 
@@ -227,6 +235,7 @@ def init_params(specs: dict, rng: np.random.Generator) -> dict[str, Tensor]:
 # ---------------------------------------------------------------------------
 # broadcasting helpers
 
+@functools.lru_cache(maxsize=1024)
 def _broadcast_shape(sa: tuple, sb: tuple, op: str) -> tuple[int, ...]:
     """Result shape for the restricted broadcast; raises on anything fancier.
 
@@ -334,7 +343,11 @@ def matmul(a, b) -> Tensor:
 
     def pull(g):
         ga = _sum_to(g @ np.swapaxes(tb.data, -1, -2), ta.shape)
-        gb = _sum_to(np.swapaxes(ta.data, -1, -2) @ g, tb.shape)
+        if ta.ndim > 2 and tb.ndim == 2:
+            # fold the batch axes into rows: one product, no (B, in, out) stack to sum
+            gb = ta.data.reshape(-1, ta.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        else:
+            gb = _sum_to(np.swapaxes(ta.data, -1, -2) @ g, tb.shape)
         return ga, gb
 
     return _record(out, (ta, tb), pull)
@@ -506,6 +519,45 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
+# running accumulations (numpy accumulates sequentially, in axis order)
+
+def _reverse_cumsum(g: np.ndarray, axis: int) -> np.ndarray:
+    return np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)
+
+
+def cumsum(x, axis: int) -> Tensor:
+    """Running sum along one axis."""
+    tx = as_tensor(x)
+    ax = _normalized_axis(axis, tx.ndim)
+    data = _ensure_finite(np.cumsum(tx.data, axis=ax), "cumsum")
+    out = _wrap(data)
+
+    def pull(g):
+        return (_reverse_cumsum(g, ax),)
+
+    return _record(out, (tx,), pull)
+
+
+def cumprod(x, axis: int) -> Tensor:
+    """Running product along one axis of strictly positive operands.
+
+    The gradient is the reversed running sum of ``g * out`` divided by the
+    operand, which is why the operand must be positive.
+    """
+    tx = as_tensor(x)
+    if np.any(tx.data <= 0.0):
+        raise DomainError("cumprod requires strictly positive operands")
+    ax = _normalized_axis(axis, tx.ndim)
+    data = _ensure_finite(np.cumprod(tx.data, axis=ax), "cumprod")
+    out = _wrap(data)
+
+    def pull(g):
+        return (_reverse_cumsum(g * data, ax) / tx.data,)
+
+    return _record(out, (tx,), pull)
+
+
+# ---------------------------------------------------------------------------
 # structural primitives
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
@@ -646,17 +698,25 @@ def backward(loss: Tensor) -> None:
     The walk visits each record exactly once in reverse execution order;
     records not upstream of ``loss`` carry a zero adjoint and contribute
     nothing.  All grads touched by the tape are cleared first, so repeated
-    calls on an intact graph give identical results.
+    calls on an intact graph give identical results.  Each leaf gradient
+    is checked once for finiteness (see the module docstring).
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     records = _state().graph.records
+    produced: set[int] = set()
+    leaves: dict[int, Tensor] = {}
     for out, inputs, _ in records:
         out.grad = None
+        produced.add(id(out))
         for t in inputs:
             t.grad = None
+            # tape order is execution order, so a record output is always
+            # in ``produced`` before any record reads it
+            if t.requires_grad and id(t) not in produced:
+                leaves[id(t)] = t
     loss.grad = np.ones_like(loss.data)
     for out, inputs, pull in reversed(records):
         g = out.grad
@@ -666,7 +726,6 @@ def backward(loss: Tensor) -> None:
             if contrib is None or not t.requires_grad:
                 continue
             t.grad = contrib if t.grad is None else t.grad + contrib
-    for out, inputs, _ in records:
-        for t in inputs:
-            if t.grad is not None and not np.all(np.isfinite(t.grad)):
-                raise NumericsError("backward produced a non-finite gradient")
+    for t in leaves.values():
+        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+            raise NumericsError("backward produced a non-finite gradient")

@@ -28,17 +28,34 @@ class AdamConfig:
 
 
 def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step_index: int, cfg: AdamConfig) -> None:
-    """One bias-corrected Adam update, in place.  ``step_index`` is 1-based."""
+                step_index: int, cfg: AdamConfig,
+                scratch: tuple[np.ndarray, np.ndarray]) -> None:
+    """One bias-corrected Adam update, in place.  ``step_index`` is 1-based.
+
+    ``scratch`` is a pair of 1-D float64 buffers of at least ``param.size``
+    entries, so the update allocates nothing.  The operations run in the
+    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
+    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, so the result is the same to
+    the bit as that out-of-place formula.
+    """
     if grad.shape != param.shape or m.shape != param.shape or v.shape != param.shape:
         raise ShapeError(f"adam buffers disagree with param shape {param.shape}")
+    a = scratch[0][:param.size].reshape(param.shape)
+    b = scratch[1][:param.size].reshape(param.shape)
+    np.multiply(grad, 1.0 - cfg.beta1, out=a)
     m *= cfg.beta1
-    m += (1.0 - cfg.beta1) * grad
+    m += a
+    np.multiply(grad, 1.0 - cfg.beta2, out=a)
+    a *= grad
     v *= cfg.beta2
-    v += (1.0 - cfg.beta2) * grad * grad
-    m_hat = m / (1.0 - cfg.beta1 ** step_index)
-    v_hat = v / (1.0 - cfg.beta2 ** step_index)
-    param -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    v += a
+    np.divide(v, 1.0 - cfg.beta2 ** step_index, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.eps
+    np.divide(m, 1.0 - cfg.beta1 ** step_index, out=a)
+    a *= cfg.lr
+    a /= b
+    param -= a
 
 
 class Adam:
@@ -54,13 +71,15 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
+        largest = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(largest), np.empty(largest))
 
     def step(self) -> None:
         self.t += 1
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            adam_update(p.data, p.grad, m, v, self.t, self.config)
+            adam_update(p.data, p.grad, m, v, self.t, self.config, self._scratch)
 
     def zero_grad(self) -> None:
         for p in self.params:

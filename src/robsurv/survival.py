@@ -40,11 +40,13 @@ class HazardGrid:
     1 - HAZARD_EPSILON back onto that ceiling.  The rescale factor is a
     constant computed from current values, and the clamp passes gradients
     through unchanged, so bins already under the ceiling are untouched in
-    both value and derivative.
+    both value and derivative.  `keep` is shared by `cif` and
+    `likelihood_loss`, so a step records it once.
     """
 
     raw: ad.Tensor
     _clamped: ad.Tensor | None = field(default=None, repr=False, compare=False)
+    _keep: ad.Tensor | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.raw.ndim != 3:
@@ -66,6 +68,16 @@ class HazardGrid:
             scale = ceiling / np.maximum(total, ceiling)
             self._clamped = ad.straight_through(self.raw, ad.Tensor(self.raw.data * scale))
         return self._clamped
+
+    @property
+    def keep(self) -> ad.Tensor:
+        """(B, n_bins, 1): probability of surviving each bin, 1 - total clamped hazard.
+
+        The clamp keeps it at least HAZARD_EPSILON, up to rounding.
+        """
+        if self._keep is None:
+            self._keep = 1.0 - self.clamped.sum(axis=2, keepdims=True)
+        return self._keep
 
 
 def hazard_forward(features, params: dict, n_bins: int, n_risks: int) -> HazardGrid:
@@ -104,26 +116,20 @@ class CifGrid:
 
 
 def cif(hazards: HazardGrid) -> CifGrid:
-    """Cumulative incidence per cause, built bin by bin.
+    """Cumulative incidence per cause from two running accumulations.
 
-    F_k(p) accumulates hazard at bin p times the probability of having
-    survived all earlier bins; the running survival then absorbs the
-    current bin's total cause hazard.
+    Survival past bin p is the running product of the per-bin `keep`
+    probabilities.  F_k(p) is the running sum of h_k at each bin times the
+    survival of all earlier bins.  numpy accumulates in bin order, so the
+    values equal those of a bin-by-bin loop to the bit.
     """
     h = hazards.clamped
     b, p, _ = h.shape
-    survival = ad.Tensor(np.ones((b, 1, 1)))
-    running = None
-    rows = []
-    for bin_i in range(p):
-        h_bin = ad.slice_along(h, 1, bin_i, bin_i + 1)            # (B, 1, K)
-        increment = h_bin * survival
-        running = increment if running is None else running + increment
-        rows.append(running)
-        total = ad.reshape(h_bin.sum(axis=2), (b, 1, 1))
-        survival = survival * (1.0 - total)
-    values = rows[0] if p == 1 else ad.concat(rows, axis=1)
-    return CifGrid(values=values, survival=ad.reshape(survival, (b,)))
+    # entry j along axis 1 is the probability of surviving the first j bins
+    survival = ad.cumprod(ad.concat([np.ones((b, 1, 1)), hazards.keep], axis=1), axis=1)
+    values = ad.cumsum(h * ad.slice_along(survival, 1, 0, p), axis=1)
+    last = ad.reshape(ad.slice_along(survival, 1, p, p + 1), (b,))
+    return CifGrid(values=values, survival=last)
 
 
 def likelihood_loss(hazards: HazardGrid, times, events) -> ad.Tensor:
@@ -140,15 +146,12 @@ def likelihood_loss(hazards: HazardGrid, times, events) -> ad.Tensor:
         raise ShapeError(f"{times.size} outcomes for a batch of {b}")
 
     ev_mask = np.zeros((b, p, k))
-    sv_mask = np.zeros((b, p))
-    for i in range(b):
-        if events[i] > 0:
-            ev_mask[i, times[i] - 1, events[i] - 1] = 1.0
-        sv_mask[i, : times[i] - 1] = 1.0
+    rows = np.flatnonzero(events > 0)
+    ev_mask[rows, times[rows] - 1, events[rows] - 1] = 1.0
+    sv_mask = (np.arange(p) < (times - 1)[:, None]).astype(np.float64)[:, :, None]
 
-    total = h.sum(axis=2)                                         # (B, P)
     log_h = ad.log(ad.clip_passthrough(h, LOG_FLOOR, 1.0))
-    log_s = ad.log(ad.clip_passthrough(1.0 - total, LOG_FLOOR, 1.0))
+    log_s = ad.log(ad.clip_passthrough(hazards.keep, LOG_FLOOR, 1.0))
     joint = (ad.Tensor(ev_mask) * log_h).sum() + (ad.Tensor(sv_mask) * log_s).sum()
     return joint * (-1.0 / b)
 
@@ -174,27 +177,24 @@ def ranking_loss(incidence: CifGrid, times, events, sigma: float,
     if len(risk_weights) != k:
         raise ConfigError(f"{len(risk_weights)} risk weights for {k} causes")
 
-    onehot = np.zeros((b, p))
-    onehot[np.arange(b), times - 1] = 1.0
-    oh = ad.Tensor(onehot)
-    ones_row = ad.Tensor(np.ones((1, b)))
-
-    total_pairs = 0
-    weighted = None
-    for cause in range(1, k + 1):
-        comparable = (events[:, None] == cause) & (times[:, None] < times[None, :])
-        count = int(comparable.sum())
-        if count == 0:
-            continue
-        total_pairs += count
-        f_cause = ad.reshape(ad.slice_along(f, 2, cause - 1, cause), (b, p))
-        own = (f_cause * oh).sum(axis=1)                          # F_k(t_i | i)
-        other = oh @ ad.transpose(f_cause)                        # [i,j] = F_k(t_i | j)
-        own_grid = ad.reshape(own, (b, 1)) @ ones_row
-        eta = ad.exp((other - own_grid) * (1.0 / sigma))
-        term = (eta * ad.Tensor(comparable.astype(float))).sum() * float(risk_weights[cause - 1])
-        weighted = term if weighted is None else weighted + term
-
+    comparable = {cause: (events[:, None] == cause) & (times[:, None] < times[None, :])
+                  for cause in range(1, k + 1)}
+    total_pairs = sum(int(mask.sum()) for mask in comparable.values())
     if total_pairs == 0:
         return ad.Tensor(0.0), 0
+
+    # row (k-1)*P + t-1 of by_bin holds F_k(t | j) for every subject j, and
+    # row (i*P + t-1)*K + k-1 of flat holds F_k(t | i)
+    by_bin = ad.reshape(ad.transpose(f, (2, 1, 0)), (k * p, b))
+    flat = ad.reshape(f, (b * p * k, 1))
+    own_rows = (np.arange(b) * p + times - 1) * k
+    weighted = None
+    for cause, mask in comparable.items():
+        if not mask.any():
+            continue
+        other = ad.take_rows(by_bin, (cause - 1) * p + times - 1)  # [i,j] = F_k(t_i | j)
+        own = ad.take_rows(flat, own_rows + cause - 1)             # [i,0] = F_k(t_i | i)
+        eta = ad.exp((other - own) * (1.0 / sigma))
+        term = (eta * ad.Tensor(mask.astype(float))).sum() * float(risk_weights[cause - 1])
+        weighted = term if weighted is None else weighted + term
     return weighted * (1.0 / total_pairs), total_pairs

@@ -93,6 +93,7 @@ class TrainConfig:
             raise ConfigError("rank_sigma must be positive")
         if self.risk_weights is not None and len(self.risk_weights) != self.n_risks:
             raise ConfigError("risk_weights must have one entry per risk")
+        self.fusion.n_patches(self.encoder)  # latent grid must split into whole patches
 
 
 def config_to_dict(config: TrainConfig) -> dict:

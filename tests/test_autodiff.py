@@ -77,6 +77,25 @@ def test_log_domain():
         ad.log(ad.Tensor([1.0, -1.0]))
 
 
+def test_cumprod_domain():
+    with pytest.raises(DomainError):
+        ad.cumprod(ad.Tensor([[1.0, 0.0, 2.0]]), axis=1)
+    with pytest.raises(DomainError):
+        ad.cumprod(ad.Tensor([0.5, -1.0]), axis=0)
+
+
+def test_accumulations_match_sequential_loop():
+    x = rng_for(12).uniform(0.1, 0.9, size=(2, 6, 3))
+    run_sum, run_prod = x[:, 0], x[:, 0]
+    sums, prods = [run_sum], [run_prod]
+    for j in range(1, 6):
+        run_sum, run_prod = run_sum + x[:, j], run_prod * x[:, j]
+        sums.append(run_sum)
+        prods.append(run_prod)
+    assert np.array_equal(ad.cumsum(ad.Tensor(x), 1).data, np.stack(sums, axis=1))
+    assert np.array_equal(ad.cumprod(ad.Tensor(x), 1).data, np.stack(prods, axis=1))
+
+
 def test_non_scalar_backward_rejected():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     y = x * 2.0
@@ -140,6 +159,18 @@ def test_backward_twice_identical():
     first = x.grad.copy()
     ad.backward(loss)
     assert np.array_equal(first, x.grad)
+    ad.reset_graph()
+
+
+def test_non_finite_adjoint_mid_graph_raises():
+    # d(a/b)/db = -a/b**2 overflows at the intermediate b although every
+    # forward value is finite; only the leaf x is checked, and must catch it
+    x = ad.Tensor([1e-200, 1.0], requires_grad=True)
+    b = x * 1.0
+    loss = (ad.Tensor([1e-300, 1.0]) / b).sum()
+    assert np.isfinite(loss.item())
+    with np.errstate(divide="ignore"), pytest.raises(NumericsError):
+        ad.backward(loss)
     ad.reset_graph()
 
 
@@ -217,6 +248,12 @@ PRIMITIVE_CASES = {
     "reshape_transpose": lambda r: _reshape_case(r),
     "slice": lambda r: _slice_case(r),
     "take_rows": lambda r: _take_case(r),
+    "cumsum_axis0": lambda r: _accumulate_case(r, ad.cumsum, 0),
+    "cumsum_axis1": lambda r: _accumulate_case(r, ad.cumsum, 1),
+    "cumsum_axis-1": lambda r: _accumulate_case(r, ad.cumsum, -1),
+    "cumprod_axis0": lambda r: _accumulate_case(r, ad.cumprod, 0),
+    "cumprod_axis1": lambda r: _accumulate_case(r, ad.cumprod, 1),
+    "cumprod_axis-1": lambda r: _accumulate_case(r, ad.cumprod, -1),
 }
 
 
@@ -308,6 +345,13 @@ def _take_case(r):
         y = ad.take_rows(m, idx)
         return (y * y).sum()
     return build, [m]
+
+
+def _accumulate_case(r, op, axis):
+    # positive operands keep cumprod inside its domain; a 3-D leaf makes -1 differ from 1
+    x = ad.Tensor(r.uniform(0.5, 1.5, size=(3, 4, 2)), requires_grad=True)
+    w = ad.Tensor(r.normal(size=(3, 4, 2)))
+    return (lambda: (op(x, axis) * w).sum()), [x]
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))

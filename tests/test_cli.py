@@ -166,6 +166,7 @@ def test_train_volume_side_mismatch(workspace, tmp_path, capsys):
     json.dumps({"encoder": {"bogus": 1}}),
     json.dumps({"encoder": 5}),
     json.dumps({"risk_weights": 5}),
+    json.dumps({"encoder": {"volume_side": 6, "latent_grid": 3}}),
 ])
 def test_train_bad_config_file(workspace, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"

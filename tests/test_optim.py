@@ -32,7 +32,23 @@ def test_matches_reference_over_steps():
         p.grad = g.copy()
         opt.step()
     expected = reference_adam(start, grads, cfg)
-    assert np.allclose(p.data, expected, atol=1e-15, rtol=0)
+    assert np.array_equal(p.data, expected)
+
+
+def test_mixed_sizes_and_skipped_grad_bitwise():
+    rng = np.random.default_rng(12)
+    cfg = AdamConfig(lr=3e-3)
+    big_start, small_start = rng.normal(size=(5, 7)), rng.normal(size=(3,))
+    grads = [rng.normal(size=(5, 7)) for _ in range(4)]
+    big = ad.Tensor(big_start, requires_grad=True)
+    small = ad.Tensor(small_start, requires_grad=True)
+    opt = Adam([small, big], cfg)
+    for g in grads:
+        big.grad, small.grad = g.copy(), None
+        opt.step()
+    assert np.array_equal(big.data, reference_adam(big_start, grads, cfg))
+    assert np.array_equal(small.data, small_start)
+    assert not opt.m[0].any() and not opt.v[0].any()
 
 
 def test_zero_grad_leaves_params_unchanged():
@@ -77,7 +93,8 @@ def test_shape_mismatch_rejected():
     cfg = AdamConfig()
     p = np.zeros((2, 2))
     with pytest.raises(ShapeError):
-        adam_update(p, np.zeros(3), np.zeros((2, 2)), np.zeros((2, 2)), 1, cfg)
+        adam_update(p, np.zeros(3), np.zeros((2, 2)), np.zeros((2, 2)), 1, cfg,
+                    (np.empty(4), np.empty(4)))
 
 
 def test_bad_config_rejected():

@@ -130,6 +130,16 @@ def test_cif_single_bin():
     assert out.survival.data[0] == pytest.approx(0.25, abs=1e-15)
 
 
+def test_cif_tape_length_independent_of_bins():
+    counts = []
+    for n_bins in (3, 10):
+        ad.reset_graph()
+        raw = ad.Tensor(np.full((2, n_bins, 2), 0.3), requires_grad=True)
+        sv.cif(sv.HazardGrid(raw))
+        counts.append(len(ad.active_graph()))
+    assert counts[0] == counts[1]
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 

@@ -316,6 +316,32 @@ def test_predict_reports_codebook_usage(cohort24):
     assert usage2 is None
 
 
+@pytest.mark.parametrize("n_risks", [1, 2])
+@pytest.mark.parametrize("seed", range(3))
+def test_predict_batch_invariance(cohort24, n_risks, seed):
+    """Batch size moves predictions only in the last bits, bounded at 1e-12."""
+    model = _fresh_model(tiny_config(n_risks=n_risks), cohort24, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name in ("head.head_w2", "head.head_b2"):  # spread the hazards, trip the clamp
+        model.params[name].data[...] += rng.normal(0.0, 1.0, model.params[name].shape)
+    values1, survival1, usage1 = model.predict(cohort24.ct, cohort24.pet, batch=1)
+    values32, survival32, usage32 = model.predict(cohort24.ct, cohort24.pet, batch=32)
+    assert np.allclose(values1, values32, rtol=0.0, atol=1e-12)
+    assert np.allclose(survival1, survival32, rtol=0.0, atol=1e-12)
+    for m in vq.MODALITIES:
+        assert np.array_equal(usage1[m], usage32[m])
+
+
+def test_default_step_tape_length():
+    """Deterministic guard on the per-step tape: default config, batch 2, one ranked pair."""
+    cfg = trainer.TrainConfig()
+    cohort = synthdata.generate_cohort(2, synthdata.CohortConfig(seed=4))
+    model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]), np.arange(1.0, cfg.n_bins))
+    bundle = model.losses(model.forward(cohort.ct, cohort.pet), np.array([2, 5]), np.array([1, 0]))
+    assert bundle.ranking.item() > 0.0
+    assert len(ad.active_graph()) <= 230
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
