@@ -12,8 +12,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from robsurv.synthdata import CT_SIGMA_CHOICES, CohortConfig, NoiseSpec, generate_cohort
-from robsurv.trainer import TrainConfig, evaluate, train
+from robsurv.synthdata import CT_SIGMA_CHOICES, CohortConfig, generate_cohort
+from robsurv.trainer import TrainConfig, evaluate_sweep, train
 
 
 def main():
@@ -36,15 +36,15 @@ def main():
     print("training no-quantization ablation...")
     ablated, _ = train(train_split, dataclasses.replace(config, use_quantization=False))
 
-    base_full = evaluate(full, held_out).c_td[1]
-    base_abl = evaluate(ablated, held_out).c_td[1]
-    print(f"clean held-out c_td: full {base_full:.4f}, no-vq {base_abl:.4f}")
+    fractions = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
+    full_ctd, abl_ctd = (
+        [r.c_td[1] for r in evaluate_sweep(model, held_out, fractions, [args.seed],
+                                           ct_sigma=args.sigma, pet_level=args.pet)]
+        for model in (full, ablated))
+    print(f"clean held-out c_td: full {full_ctd[0]:.4f}, no-vq {abl_ctd[0]:.4f}")
     print(f"{'fraction':>8}  {'full':>8}  {'no-vq':>8}")
-    for frac in (0.1, 0.25, 0.5, 0.75, 1.0):
-        noise = NoiseSpec(ct_sigma=args.sigma, pet_level=args.pet, noisy_fraction=frac)
-        ctd_full = evaluate(full, held_out, noise=noise, noise_seed=args.seed).c_td[1]
-        ctd_abl = evaluate(ablated, held_out, noise=noise, noise_seed=args.seed).c_td[1]
-        print(f"{frac:>8.2f}  {ctd_full:>8.4f}  {ctd_abl:>8.4f}")
+    for i in range(1, len(fractions)):
+        print(f"{fractions[i]:>8.2f}  {full_ctd[i]:>8.4f}  {abl_ctd[i]:>8.4f}")
 
 
 if __name__ == "__main__":

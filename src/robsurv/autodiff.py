@@ -718,14 +718,16 @@ def backward(loss: Tensor) -> None:
             if t.requires_grad and id(t) not in produced:
                 leaves[id(t)] = t
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, pull in reversed(records):
-        g = out.grad
-        if g is None:
-            continue
-        for t, contrib in zip(inputs, pull(g)):
-            if contrib is None or not t.requires_grad:
+    # an overflowing adjoint is reported by the leaf check below, not by numpy
+    with np.errstate(all="ignore"):
+        for out, inputs, pull in reversed(records):
+            g = out.grad
+            if g is None:
                 continue
-            t.grad = contrib if t.grad is None else t.grad + contrib
+            for t, contrib in zip(inputs, pull(g)):
+                if contrib is None or not t.requires_grad:
+                    continue
+                t.grad = contrib if t.grad is None else t.grad + contrib
     for t in leaves.values():
         if t.grad is not None and not np.all(np.isfinite(t.grad)):
             raise NumericsError("backward produced a non-finite gradient")

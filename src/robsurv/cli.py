@@ -17,7 +17,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import stats, trainer
@@ -220,29 +219,16 @@ def cmd_sweep(args) -> None:
     cohort = load_cohort(args.data)
     fractions = _parse_list(args.fractions, float, "fractions")
     seeds = _parse_list(args.seeds, int, "seeds")
-    # build every spec up front so validation fails before any work starts
-    cells = [(frac, seed, NoiseSpec(ct_sigma=args.noise_ct,
-                                    pet_level=None if args.noise_pet == "none" else args.noise_pet,
-                                    noisy_fraction=frac))
-             for frac in fractions for seed in seeds]
-
-    def run(cell):
-        frac, seed, spec = cell
-        report = trainer.evaluate(model, cohort, spec if not spec.is_clean else None,
-                                  noise_seed=seed)
-        return report.c_td[1]
-
     threads = _thread_budget()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(run, cells))
-    else:
-        scores = [run(cell) for cell in cells]
+    reports = trainer.evaluate_sweep(
+        model, cohort, fractions, seeds, ct_sigma=args.noise_ct,
+        pet_level=None if args.noise_pet == "none" else args.noise_pet, threads=threads)
+    cells = [(frac, seed) for frac in fractions for seed in seeds]
 
     out_dir = Path(args.out)
     ensure_dir(out_dir)
     lines = ["fraction,seed,c_td"]
-    lines += [f"{frac!r},{seed},{score!r}" for (frac, seed, _), score in zip(cells, scores)]
+    lines += [f"{frac!r},{seed},{report.c_td[1]!r}" for (frac, seed), report in zip(cells, reports)]
     atomic_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     _run_manifest(out_dir, {
         "command": "sweep",

@@ -181,16 +181,23 @@ def poisson_noise(volume: np.ndarray, level: str, seed) -> np.ndarray:
     return rng.poisson(volume * scale).astype(float) / scale
 
 
+def noise_order(n: int, seed: int) -> np.ndarray:
+    """The order in which a noise mix picks rows: at fraction f it corrupts
+    the first floor(f*n) entries, so a larger fraction corrupts a superset."""
+    return np.random.default_rng([seed, 5]).permutation(n)
+
+
 def apply_noise_mix(cohort: SyntheticCohort, spec: NoiseSpec, seed: int) -> SyntheticCohort:
-    """Corrupt a seeded random floor(fraction*n) subset of patients.
+    """Corrupt the first floor(fraction*n) rows of ``noise_order(n, seed)``.
 
     Selected patients get both the CT and the PET corruption; outcomes are
     untouched.  Per-patient noise streams derive from (seed, patient id),
-    so the same call is bit-reproducible and insensitive to cohort order.
+    so the same call is bit-reproducible and insensitive to cohort order,
+    and a corrupted row does not depend on the fraction.
     """
     n = cohort.n
     m = int(np.floor(spec.noisy_fraction * n))
-    chosen = np.random.default_rng([seed, 5]).permutation(n)[:m]
+    chosen = noise_order(n, seed)[:m]
     ct = cohort.ct.copy()
     pet = cohort.pet.copy()
     noisy = cohort.noisy.copy()

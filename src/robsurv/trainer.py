@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .fileio import atomic_text
 from .optim import Adam, AdamConfig
-from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix
+from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noise_order
 
 MODEL_FORMAT_VERSION = 1
 
@@ -184,7 +185,7 @@ class ForwardPass:
     volumes: dict           # modality -> input Tensor
     latent: dict            # modality -> raw encoder output z_e
     quantized: dict | None  # modality -> LatentPair, None when quantization is off
-    recon: dict | None
+    route: dict             # modality -> latent fed to fusion (straight-through when quantized)
     discrete: fusion.DiscretePathOutput | None
     f_discrete: ad.Tensor
     f_cont: ad.Tensor
@@ -256,11 +257,9 @@ class SurvivalModel:
         if cfg.use_quantization:
             quantized = {m: vq.quantize(latent[m], self.scoped(m)["codebook"]) for m in vq.MODALITIES}
             route = {m: ad.straight_through(quantized[m].z_e, quantized[m].z_q) for m in vq.MODALITIES}
-            recon = {m: vq.decode(route[m], self.scoped(m), enc) for m in vq.MODALITIES}
         else:
             quantized = None
             route = latent
-            recon = None
 
         fparams = self.scoped("fuse")
         if cfg.use_cross_fusion:
@@ -280,7 +279,7 @@ class SurvivalModel:
         features = fusion.fuse_final(f_discrete, f_cont, fparams)
         hazards = survival.hazard_forward(features, self.scoped("head"), cfg.n_bins, cfg.n_risks)
         return ForwardPass(
-            volumes=vols, latent=latent, quantized=quantized, recon=recon,
+            volumes=vols, latent=latent, quantized=quantized, route=route,
             discrete=disc, f_discrete=f_discrete, f_cont=f_cont,
             features=features, hazards=hazards,
         )
@@ -289,7 +288,10 @@ class SurvivalModel:
         cfg = self.config
         quant = None
         if fwd.quantized is not None:
-            quant = vq.vq_losses(fwd.volumes, fwd.quantized, fwd.recon,
+            # decoding serves only the reconstruction loss, so inference skips it
+            recon = {m: vq.decode(fwd.route[m], self.scoped(m), cfg.encoder)
+                     for m in vq.MODALITIES}
+            quant = vq.vq_losses(fwd.volumes, fwd.quantized, recon,
                                  alpha1=cfg.alpha1, alpha2=cfg.alpha2).total
         fusion_term = None
         if fwd.discrete is not None:
@@ -531,23 +533,19 @@ class EvalReport:
         }
 
 
-def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
-             noise: NoiseSpec | None = None, noise_seed: int = 0) -> EvalReport:
-    """Score a model on a cohort, optionally after protocol corruption.
-
-    Stratification uses the terminal incidence of cause 1 as the risk
-    score; survival curves and the log-rank test run on the raw observed
-    times.  Parameters are read, never written.
-    """
+def _check_side(model: SurvivalModel, cohort: SyntheticCohort) -> None:
     if cohort.config.volume_side != model.config.encoder.volume_side:
         raise IncompatibleInputError(
             f"cohort volumes are side {cohort.config.volume_side}, "
             f"model wants {model.config.encoder.volume_side}")
-    if noise is not None and not noise.is_clean:
-        cohort = apply_noise_mix(cohort, noise, seed=noise_seed)
 
+
+def _score(model: SurvivalModel, cohort: SyntheticCohort, values: np.ndarray,
+           noisy: np.ndarray, noise: NoiseSpec | None) -> EvalReport:
+    """Concordance, risk groups and log-rank test of predicted incidence
+    ``values`` against the outcomes of ``cohort``; ``noisy`` flags the rows
+    whose inputs were corrupted."""
     binned = assign_bins(cohort.times, model.bin_edges)
-    values, _, _ = model.predict(cohort.ct, cohort.pet)
     c_td = {
         cause: stats.concordance(values, binned, cohort.events, cause=cause)
         for cause in range(1, model.config.n_risks + 1)
@@ -564,5 +562,65 @@ def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
                        cohort.times[groups.high], flags[groups.high])
     return EvalReport(
         c_td=c_td, logrank_stat=lr.statistic, logrank_p=lr.p_value, km=km,
-        n=cohort.n, n_noisy=int(cohort.noisy.sum()), noise=noise,
+        n=cohort.n, n_noisy=int(noisy.sum()), noise=noise,
     )
+
+
+def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
+             noise: NoiseSpec | None = None, noise_seed: int = 0) -> EvalReport:
+    """Score a model on a cohort, optionally after protocol corruption.
+
+    Stratification uses the terminal incidence of cause 1 as the risk
+    score; survival curves and the log-rank test run on the raw observed
+    times.  Parameters are read, never written.
+    """
+    _check_side(model, cohort)
+    if noise is not None and not noise.is_clean:
+        cohort = apply_noise_mix(cohort, noise, seed=noise_seed)
+    values, _, _ = model.predict(cohort.ct, cohort.pet)
+    return _score(model, cohort, values, cohort.noisy, noise)
+
+
+def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, seeds,
+                   ct_sigma: float, pet_level: str | None,
+                   threads: int = 1) -> list[EvalReport]:
+    """``evaluate`` over a grid of noisy fractions x noise seeds, fraction-major.
+
+    Each report equals ``evaluate(model, cohort, NoiseSpec(ct_sigma,
+    pet_level, fraction), seed)`` but the cohort is predicted once clean and
+    once per seed with the largest fraction's rows corrupted: a corrupted
+    row depends only on (seed, patient id) and its clean volume, a smaller
+    fraction corrupts a prefix of the same ``noise_order``, and ``predict``
+    treats each row on its own at a fixed batch position.  A cell takes the
+    corrupted predictions of its rows and the clean ones of the rest.
+    ``threads`` runs the clean and per-seed predictions concurrently; the
+    reports do not depend on it.
+    """
+    specs = [NoiseSpec(ct_sigma=ct_sigma, pet_level=pet_level, noisy_fraction=f)
+             for f in fractions]  # every spec is checked before any work starts
+    _check_side(model, cohort)
+    widest = max(specs, key=lambda spec: spec.noisy_fraction)
+    noise_seeds = [] if widest.is_clean else list(dict.fromkeys(seeds))
+
+    def predict(seed):
+        mixed = cohort if seed is None else apply_noise_mix(cohort, widest, seed=seed)
+        return model.predict(mixed.ct, mixed.pet)[0]
+
+    tasks = [None, *noise_seeds]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            predicted = list(pool.map(predict, tasks))
+    else:
+        predicted = [predict(task) for task in tasks]
+    clean, noisy = predicted[0], dict(zip(noise_seeds, predicted[1:]))
+
+    n = cohort.n
+    reports = []
+    for spec in specs:
+        for seed in seeds:
+            m = 0 if spec.is_clean else int(np.floor(spec.noisy_fraction * n))
+            mask = np.zeros(n, dtype=bool)
+            mask[noise_order(n, seed)[:m]] = True
+            values = np.where(mask[:, None, None], noisy[seed], clean) if m else clean
+            reports.append(_score(model, cohort, values, cohort.noisy | mask, spec))
+    return reports

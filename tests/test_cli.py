@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from robsurv import cli
+from robsurv import cli, trainer
+from robsurv.synthdata import NoiseSpec, load_cohort
 
 TINY_CONFIG = {
     "encoder": {"volume_side": 8, "latent_grid": 2, "latent_dim": 6, "codebook_size": 8},
@@ -333,6 +334,48 @@ def test_sweep_threads_match_sequential(workspace, tmp_path, capsys, monkeypatch
     assert code == 0
     assert pairs["threads"] == "3"
     assert (seq / "sweep.csv").read_bytes() == (par / "sweep.csv").read_bytes()
+
+
+def _count_predicts(monkeypatch) -> list:
+    calls = []
+    original = trainer.SurvivalModel.predict
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(trainer.SurvivalModel, "predict", counted)
+    return calls
+
+
+def test_sweep_rows_equal_evaluate(workspace, tmp_path, capsys, monkeypatch):
+    calls = _count_predicts(monkeypatch)
+    out = tmp_path / "sw"
+    code, pairs, _ = run_cli(["sweep", "--model", workspace["model"],
+                              "--data", workspace["data"], "--fractions", "0,0.3,1.0",
+                              "--seeds", "0,1,2", "--out", out], capsys)
+    assert code == 0 and pairs["cells"] == "9"
+    # one clean prediction, one per noise seed, never one per cell
+    assert len(calls) <= 1 + 3
+    model = trainer.SurvivalModel.load(workspace["model"])
+    cohort = load_cohort(workspace["data"])
+    lines = (out / "sweep.csv").read_text().splitlines()
+    cells = [(f, s) for f in (0.0, 0.3, 1.0) for s in (0, 1, 2)]
+    assert len(lines) == 1 + len(cells)
+    for line, (frac, seed) in zip(lines[1:], cells):
+        spec = NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=frac)
+        score = trainer.evaluate(model, cohort, spec, noise_seed=seed).c_td[1]
+        assert line == f"{frac!r},{seed},{score!r}"
+
+
+def test_sweep_without_noise_predicts_once(workspace, tmp_path, capsys, monkeypatch):
+    calls = _count_predicts(monkeypatch)
+    code, _, _ = run_cli(["sweep", "--model", workspace["model"],
+                          "--data", workspace["data"], "--fractions", "0,0.3,1.0",
+                          "--seeds", "0,1,2", "--noise-ct", "0", "--noise-pet", "none",
+                          "--out", tmp_path / "sw"], capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_sweep_bad_lists(workspace, tmp_path, capsys):

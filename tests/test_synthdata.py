@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from robsurv import synthdata as sd
 from robsurv.errors import ConfigError, DataFormatError
@@ -217,6 +218,31 @@ def test_mix_ct_only_and_pet_only():
     pet_only = sd.apply_noise_mix(c, sd.NoiseSpec(0.0, "low", 1.0), seed=16)
     assert np.array_equal(pet_only.ct, c.ct)
     assert not np.array_equal(pet_only.pet, c.pet)
+
+
+@pytest.fixture(scope="module")
+def cohort40():
+    return small_cohort(n=40, seed=21)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted))
+def test_mix_rows_nest_across_fractions(cohort40, n, seed, fracs):
+    """A noise sweep builds every fraction from the cohort corrupted at the
+    largest one, so the rows corrupted at f1 <= f2 must be a subset of those
+    at f2, carry the same bytes at both, and be the floor(f*n)-prefix of
+    ``noise_order``."""
+    cohort = cohort40.subset(np.arange(n))
+    order = sd.noise_order(n, seed)
+    lo, hi = (sd.apply_noise_mix(cohort, sd.NoiseSpec(0.1, "high", f), seed) for f in fracs)
+    for f, mixed in zip(fracs, (lo, hi)):
+        assert np.array_equal(np.flatnonzero(mixed.noisy),
+                              np.sort(order[:int(np.floor(f * n))]))
+    rows = lo.noisy
+    assert hi.noisy[rows].all()
+    assert lo.ct[rows].tobytes() == hi.ct[rows].tobytes()
+    assert lo.pet[rows].tobytes() == hi.pet[rows].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -288,14 +288,18 @@ def test_forward_shapes(cohort24):
     assert fwd.hazards.raw.shape == (3, cfg.n_bins, cfg.n_risks)
     assert fwd.f_cont.shape == (3, 2 * ENC.latent_dim)
     assert fwd.features.shape == (3, FUS.d_fused)
-    assert fwd.discrete is not None and fwd.recon is not None
+    assert fwd.discrete is not None
+    for m in vq.MODALITIES:  # the straight-through latent, not the raw one, feeds fusion
+        assert fwd.route[m].shape == (3, ENC.latent_dim, ENC.grid_voxels)
+        assert fwd.route[m] is not fwd.latent[m]
 
 
 def test_forward_ablation_branches(cohort24):
     model = _fresh_model(tiny_config(use_quantization=False, use_continuous=False,
                                      use_cross_fusion=False), cohort24)
     fwd = model.forward(cohort24.ct[:2], cohort24.pet[:2])
-    assert fwd.quantized is None and fwd.recon is None and fwd.discrete is None
+    assert fwd.quantized is None and fwd.discrete is None
+    assert all(fwd.route[m] is fwd.latent[m] for m in vq.MODALITIES)
     assert np.array_equal(fwd.f_cont.data, np.zeros((2, 2 * ENC.latent_dim)))
     bundle = model.losses(fwd, np.array([1, 2]), np.array([1, 1]))
     assert bundle.quantization is None and bundle.fusion_total is None
@@ -330,6 +334,44 @@ def test_predict_batch_invariance(cohort24, n_risks, seed):
     assert np.allclose(survival1, survival32, rtol=0.0, atol=1e-12)
     for m in vq.MODALITIES:
         assert np.array_equal(usage1[m], usage32[m])
+
+
+def _rows(mask, array):
+    return mask.reshape((-1,) + (1,) * (array.ndim - 1))
+
+
+@pytest.mark.parametrize("n_risks", [1, 2])
+@pytest.mark.parametrize("use_quantization", [True, False])
+def test_predict_rows_independent(n_risks, use_quantization):
+    """Each row's prediction depends only on that row's input, bit for bit.
+
+    ``evaluate_sweep`` builds a cell's predictions from a clean and a noisy
+    prediction of the whole cohort, so an operation that mixes rows (a batch
+    statistic, say) must fail here.  40 patients make one full batch of 32
+    and a ragged batch of 8.
+    """
+    cohort = synthdata.generate_cohort(40, synthdata.CohortConfig(volume_side=8, seed=11))
+    spec = synthdata.NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=1.0)
+    other = synthdata.apply_noise_mix(cohort, spec, seed=2)
+    cfg = tiny_config(n_risks=n_risks, use_quantization=use_quantization)
+    model = _fresh_model(cfg, cohort)
+    rng = np.random.default_rng([n_risks, use_quantization])
+    for name in ("head.head_w2", "head.head_b2"):  # spread the hazards, trip the clamp
+        model.params[name].data[...] += rng.normal(0.0, 1.0, model.params[name].shape)
+    a = model.predict(cohort.ct, cohort.pet)
+    b = model.predict(other.ct, other.pet)
+    for _ in range(4):
+        mask = rng.random(cohort.n) < 0.5
+        mixed = model.predict(np.where(_rows(mask, cohort.ct), other.ct, cohort.ct),
+                              np.where(_rows(mask, cohort.pet), other.pet, cohort.pet))
+        for got, clean, noisy in zip(mixed[:2], a[:2], b[:2]):
+            assert np.array_equal(got, np.where(_rows(mask, got), noisy, clean))
+        if use_quantization:
+            for m in vq.MODALITIES:
+                got, clean, noisy = (x[2][m].reshape(cohort.n, -1) for x in (mixed, a, b))
+                assert np.array_equal(got, np.where(_rows(mask, got), noisy, clean))
+        else:
+            assert mixed[2] is None
 
 
 def test_default_step_tape_length():
@@ -514,6 +556,26 @@ def test_evaluate_side_mismatch_rejected(trained):
     other = synthdata.generate_cohort(8, synthdata.CohortConfig(volume_side=4, seed=1))
     with pytest.raises(IncompatibleInputError):
         trainer.evaluate(model, other)
+    with pytest.raises(IncompatibleInputError):
+        trainer.evaluate_sweep(model, other, [0.5], [0], ct_sigma=0.1, pet_level="high")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_evaluate_sweep_equals_evaluate(trained, cohort24, threads):
+    """Every sweep report is the per-cell ``evaluate`` report, field by field."""
+    model, _ = trained
+    fractions, seeds = [0.0, 0.3, 0.5, 0.3], [4, 0, 4]
+    reports = trainer.evaluate_sweep(model, cohort24, fractions, seeds, ct_sigma=0.05,
+                                     pet_level="medium", threads=threads)
+    assert len(reports) == len(fractions) * len(seeds)
+    cells = [(f, s) for f in fractions for s in seeds]
+    for (frac, seed), got in zip(cells, reports):
+        spec = synthdata.NoiseSpec(ct_sigma=0.05, pet_level="medium", noisy_fraction=frac)
+        want = trainer.evaluate(model, cohort24, spec, noise_seed=seed)
+        assert got.metrics_dict() == want.metrics_dict()
+        for group in ("low", "high"):
+            assert np.array_equal(got.km[group].survival, want.km[group].survival)
+            assert np.array_equal(got.km[group].times, want.km[group].times)
 
 
 def test_untrained_model_sits_near_chance(cohort24):
