@@ -1,7 +1,9 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-A flat, execution-ordered tape of primitive records is kept per process
-(`Graph`).  `backward` walks the tape once in reverse and accumulates
+A flat, execution-ordered tape of primitive records is kept per thread
+as a plain list (`active_graph`); each record is ``(output, inputs,
+pull)``, where ``pull`` maps the output adjoint to one gradient array (or
+None) per input.  `backward` walks the tape once in reverse and accumulates
 adjoints into per-tensor ``grad`` buffers, so data-dependent structure
 (nearest-codebook selection, per-bin masks) is differentiated exactly as
 executed.  Calling `backward` again on an intact tape first clears every
@@ -42,7 +44,7 @@ import numpy as np
 from .errors import ContractError, DomainError, NumericsError, ShapeError
 
 __all__ = [
-    "Tensor", "Graph", "active_graph", "reset_graph", "no_grad", "backward",
+    "Tensor", "active_graph", "reset_graph", "no_grad", "backward",
     "as_tensor", "linear_spec", "init_params",
     "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sigmoid", "relu", "softmax", "l2norm",
@@ -51,41 +53,25 @@ __all__ = [
 ]
 
 
-class Graph:
-    """Execution-ordered tape of recorded primitive applications."""
-
-    __slots__ = ("records",)
-
-    def __init__(self) -> None:
-        # each record is (output, inputs, pull) where pull maps the output
-        # adjoint to one gradient array (or None) per input
-        self.records: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def reset(self) -> None:
-        self.records.clear()
-
-
 # graph state is per-thread so read-only inference can run concurrently
 _STATE = threading.local()
 
 
 def _state() -> threading.local:
     if not hasattr(_STATE, "graph"):
-        _STATE.graph = Graph()
+        _STATE.graph = []
         _STATE.grad_enabled = True
     return _STATE
 
 
-def active_graph() -> Graph:
+def active_graph() -> list[tuple]:
+    """This thread's tape, in execution order."""
     return _state().graph
 
 
 def reset_graph() -> None:
     """Drop every recorded operation (start of a fresh training step)."""
-    _state().graph.reset()
+    _state().graph.clear()
 
 
 @contextmanager
@@ -200,7 +186,7 @@ def _record(out: Tensor, inputs: tuple, pull) -> Tensor:
     st = _state()
     if st.grad_enabled and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        st.graph.records.append((out, inputs, pull))
+        st.graph.append((out, inputs, pull))
     return out
 
 
@@ -705,7 +691,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward expects a Tensor")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    records = _state().graph.records
+    records = _state().graph
     produced: set[int] = set()
     leaves: dict[int, Tensor] = {}
     for out, inputs, _ in records:

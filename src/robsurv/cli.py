@@ -132,7 +132,7 @@ def cmd_train(args) -> None:
     cohort = load_cohort(args.data)
     config = _load_train_config(args.config, args.ablate)
     model, reports = trainer.train(cohort, config)
-    best = max(reports, key=lambda r: (r.best_val_ctd, -r.fold))
+    best = trainer.best_fold(reports)
 
     out_dir = Path(args.out)
     ensure_dir(out_dir)

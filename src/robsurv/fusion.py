@@ -73,10 +73,6 @@ class DiscretePathOutput:
     embed_pet: ad.Tensor
     query_ct: ad.Tensor     # (B, P, n_heads*d_k), pre-attention projections
     key_pet: ad.Tensor
-    attended_ct: ad.Tensor  # ct queries over pet patches, back in d_model
-    attended_pet: ad.Tensor
-    weights_ct: ad.Tensor   # (B, H, P, P) attention maps
-    weights_pet: ad.Tensor
 
 
 @dataclass
@@ -131,12 +127,13 @@ def positional_encoding(n_positions: int, d_model: int) -> np.ndarray:
     return table
 
 
-def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig, cfg: FusionConfig,
-                   include_positional: bool = True) -> ad.Tensor:
+def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig,
+                   cfg: FusionConfig) -> ad.Tensor:
     """Group the latent grid into patch tokens and project to model width.
 
     z is (B, D, G) with the grid flattened row-major; cells are regrouped
-    into patch_size^3 neighborhoods, each flattened to one feature vector.
+    into patch_size^3 neighborhoods, each flattened to one feature vector,
+    and the sinusoidal position of each patch is added after projection.
     """
     z = ad.as_tensor(z)
     g, d = enc.latent_grid, enc.latent_dim
@@ -146,15 +143,11 @@ def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig, cfg: Fusi
     nb = g // ps
     b = z.shape[0]
     cells = ad.transpose(z, (0, 2, 1))                       # (B, G, D)
-    cells = ad.reshape(cells, (b, g, g, g, d))
     cells = ad.reshape(cells, (b, nb, ps, nb, ps, nb, ps, d))
     cells = ad.transpose(cells, (0, 1, 3, 5, 2, 4, 6, 7))
     tokens = ad.reshape(cells, (b, nb * nb * nb, ps * ps * ps * d))
     embed = tokens @ params[f"patch_w_{modality}"] + params[f"patch_b_{modality}"]
-    if include_positional:
-        table = positional_encoding(nb * nb * nb, cfg.d_model)
-        embed = embed + ad.Tensor(table)
-    return embed
+    return embed + ad.Tensor(positional_encoding(nb * nb * nb, cfg.d_model))
 
 
 def scaled_dot_attention(q, k, v, n_heads: int = 1):
@@ -189,33 +182,24 @@ def cross_attention(src_embed, tgt_embed, params: dict, src: str, tgt: str,
     """One direction of patch cross-attention.
 
     Queries come from src, keys/values from tgt; the attended stream is
-    projected back to d_model.  Returns (projected, query, key, weights).
+    projected back to d_model.  Returns (projected, query, key).
     """
     q = src_embed @ params[f"wq_{src}"]
     k = tgt_embed @ params[f"wk_{tgt}"]
     v = tgt_embed @ params[f"wv_{tgt}"]
-    attended, weights = scaled_dot_attention(q, k, v, cfg.n_heads)
-    projected = attended @ params[f"out_{src}2{tgt}_w"]
-    return projected, q, k, weights
-
-
-def fuse_streams(attended_ct, embed_ct, attended_pet, embed_pet, mix_ct, mix_pet) -> ad.Tensor:
-    # residual per direction, then learned scalar mix of the two directions
-    return mix_ct * (attended_ct + embed_ct) + mix_pet * (attended_pet + embed_pet)
+    attended, _ = scaled_dot_attention(q, k, v, cfg.n_heads)
+    return attended @ params[f"out_{src}2{tgt}_w"], q, k
 
 
 def discrete_fusion(z_ct, z_pet, params: dict, enc: EncoderConfig, cfg: FusionConfig) -> DiscretePathOutput:
     e_ct = patchify_embed(z_ct, params, "ct", enc, cfg)
     e_pet = patchify_embed(z_pet, params, "pet", enc, cfg)
-    a_ct, q_ct, k_pet, w_ct = cross_attention(e_ct, e_pet, params, "ct", "pet", cfg)
-    a_pet, _, _, w_pet = cross_attention(e_pet, e_ct, params, "pet", "ct", cfg)
-    fused = fuse_streams(a_ct, e_ct, a_pet, e_pet, params["mix_ct"], params["mix_pet"])
-    return DiscretePathOutput(
-        fused=fused, embed_ct=e_ct, embed_pet=e_pet,
-        query_ct=q_ct, key_pet=k_pet,
-        attended_ct=a_ct, attended_pet=a_pet,
-        weights_ct=w_ct, weights_pet=w_pet,
-    )
+    a_ct, q_ct, k_pet = cross_attention(e_ct, e_pet, params, "ct", "pet", cfg)
+    a_pet, _, _ = cross_attention(e_pet, e_ct, params, "pet", "ct", cfg)
+    # residual per direction, then learned scalar mix of the two directions
+    fused = params["mix_ct"] * (a_ct + e_ct) + params["mix_pet"] * (a_pet + e_pet)
+    return DiscretePathOutput(fused=fused, embed_ct=e_ct, embed_pet=e_pet,
+                              query_ct=q_ct, key_pet=k_pet)
 
 
 def _mean_cosine(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:

@@ -38,18 +38,16 @@ def _check_outcomes(times, events, min_time: int = 1) -> tuple[np.ndarray, np.nd
     return times, events
 
 
-def concordance(values: np.ndarray, times, events, cause: int = 1,
-                ties: str = "half") -> float:
+def concordance(values: np.ndarray, times, events, cause: int = 1) -> float:
     """Time-dependent concordance for one cause.
 
     A pair (i, j) is comparable when i has an event of the given cause
     strictly before j's observed time.  The pair scores 1 when i's own
     incidence curve, read at i's event bin, exceeds j's curve at the same
-    bin; an exact tie scores 0.5 by default so constant predictors land
-    on chance level, or 0 under ties="strict".
+    bin; an exact tie scores 0.5, so constant predictors land on chance
+    level.  Every pair is scored: the comparable mask and the score are
+    full n x n arrays.
     """
-    if ties not in ("half", "strict"):
-        raise ConfigError(f"unknown tie rule {ties!r}")
     values = np.asarray(values, dtype=float)
     times, events = _check_outcomes(times, events)
     if values.ndim != 3:
@@ -69,9 +67,7 @@ def concordance(values: np.ndarray, times, events, cause: int = 1,
 
     own = values[np.arange(n), times - 1, cause - 1]           # (n,)
     at_i = values[:, times - 1, cause - 1].T                   # [i, j] = curve_j(t_i)
-    score = (own[:, None] > at_i).astype(float)
-    if ties == "half":
-        score += 0.5 * (own[:, None] == at_i)
+    score = (own[:, None] > at_i) + 0.5 * (own[:, None] == at_i)
     return float((score * comparable).sum() / n_pairs)
 
 

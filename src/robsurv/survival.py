@@ -40,44 +40,24 @@ class HazardGrid:
     1 - HAZARD_EPSILON back onto that ceiling.  The rescale factor is a
     constant computed from current values, and the clamp passes gradients
     through unchanged, so bins already under the ceiling are untouched in
-    both value and derivative.  `keep` is shared by `cif` and
-    `likelihood_loss`, so a step records it once.
+    both value and derivative.  `keep`, (B, n_bins, 1), is the probability
+    of surviving each bin, 1 - total clamped hazard; the clamp keeps it at
+    least HAZARD_EPSILON, up to rounding.  Both are built once, here, and
+    shared by `cif` and `likelihood_loss`.
     """
 
     raw: ad.Tensor
-    _clamped: ad.Tensor | None = field(default=None, repr=False, compare=False)
-    _keep: ad.Tensor | None = field(default=None, repr=False, compare=False)
+    clamped: ad.Tensor = field(init=False, repr=False, compare=False)
+    keep: ad.Tensor = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.raw.ndim != 3:
             raise ShapeError(f"hazard grid must be (B, bins, risks), got {self.raw.shape}")
-
-    @property
-    def n_bins(self) -> int:
-        return self.raw.shape[1]
-
-    @property
-    def n_risks(self) -> int:
-        return self.raw.shape[2]
-
-    @property
-    def clamped(self) -> ad.Tensor:
-        if self._clamped is None:
-            ceiling = 1.0 - HAZARD_EPSILON
-            total = self.raw.data.sum(axis=2, keepdims=True)
-            scale = ceiling / np.maximum(total, ceiling)
-            self._clamped = ad.straight_through(self.raw, ad.Tensor(self.raw.data * scale))
-        return self._clamped
-
-    @property
-    def keep(self) -> ad.Tensor:
-        """(B, n_bins, 1): probability of surviving each bin, 1 - total clamped hazard.
-
-        The clamp keeps it at least HAZARD_EPSILON, up to rounding.
-        """
-        if self._keep is None:
-            self._keep = 1.0 - self.clamped.sum(axis=2, keepdims=True)
-        return self._keep
+        ceiling = 1.0 - HAZARD_EPSILON
+        total = self.raw.data.sum(axis=2, keepdims=True)
+        scale = ceiling / np.maximum(total, ceiling)
+        self.clamped = ad.straight_through(self.raw, ad.Tensor(self.raw.data * scale))
+        self.keep = 1.0 - self.clamped.sum(axis=2, keepdims=True)
 
 
 def hazard_forward(features, params: dict, n_bins: int, n_risks: int) -> HazardGrid:

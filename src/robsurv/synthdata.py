@@ -229,7 +229,7 @@ def cohort_manifest(cohort: SyntheticCohort) -> dict:
     }
 
 
-def save_cohort(cohort: SyntheticCohort, out_dir, extra: dict | None = None) -> None:
+def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
     from .fileio import atomic_bytes, atomic_text, ensure_dir
 
     out_dir = ensure_dir(out_dir)
@@ -246,8 +246,6 @@ def save_cohort(cohort: SyntheticCohort, out_dir, extra: dict | None = None) -> 
     atomic_text(out_dir / "outcomes.csv", "\n".join(rows) + "\n")
 
     manifest = cohort_manifest(cohort)
-    if extra:
-        manifest.update(extra)
     atomic_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 

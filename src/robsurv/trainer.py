@@ -390,9 +390,8 @@ class FoldReport:
         return asdict(self)
 
 
-def _validation_ctd(model: SurvivalModel, cohort: SyntheticCohort,
+def _validation_ctd(values: np.ndarray, cohort: SyntheticCohort,
                     binned_times: np.ndarray) -> float:
-    values, _, _ = model.predict(cohort.ct, cohort.pet)
     try:
         return stats.concordance(values, binned_times, cohort.events, cause=1)
     except UndefinedMetricError:
@@ -411,6 +410,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     best_score = -np.inf
     best_epoch = -1
     best_snap = model.snapshot()
+    best_usage = None
     patience_left = config.patience
     train_losses: list[float] = []
     val_scores: list[float] = []
@@ -437,35 +437,36 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
             batch_losses.append(value)
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))
-        score = _validation_ctd(model, val_co, t_val)
+        values, _, usage = model.predict(val_co.ct, val_co.pet)
+        score = _validation_ctd(values, val_co, t_val)
         val_scores.append(score)
         if score > best_score:
             best_score = score
             best_epoch = epoch
             best_snap = model.snapshot()
+            best_usage = usage
             patience_left = config.patience
         else:
             patience_left -= 1
             if patience_left == 0:
                 break
+    # predict is deterministic, so the best epoch's validation pass already
+    # holds the restored model's clean score and codebook usage
     model.restore(best_snap)
-
-    clean_ctd = _validation_ctd(model, val_co, t_val)
     noisy_val = apply_noise_mix(val_co, config.train_noise, seed=config.seed * 1009 + fold)
-    noisy_ctd = _validation_ctd(model, noisy_val, t_val)
+    noisy_ctd = _validation_ctd(model.predict(noisy_val.ct, noisy_val.pet)[0], noisy_val, t_val)
 
     codebook = None
     if config.use_quantization:
-        _, _, usage = model.predict(val_co.ct, val_co.pet)
         codebook = {}
         for m in vq.MODALITIES:
-            health = vq.codebook_health(model.scoped(m)["codebook"], usage[m])
+            health = vq.codebook_health(model.scoped(m)["codebook"], best_usage[m])
             codebook[m] = {"perplexity": health.perplexity, "dead_entries": health.dead_entries}
 
     report = FoldReport(
         fold=fold, epochs_run=len(train_losses), best_epoch=best_epoch,
         best_val_ctd=float(best_score), train_losses=train_losses,
-        val_ctd=val_scores, clean_ctd=float(clean_ctd), noisy_ctd=float(noisy_ctd),
+        val_ctd=val_scores, clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
         codebook=codebook, trained_with_noise=config.train_with_noise,
         wall_clock=time.perf_counter() - started,
     )
@@ -487,7 +488,6 @@ def train(cohort: SyntheticCohort, config: TrainConfig) -> tuple[SurvivalModel, 
     perm = np.random.default_rng([config.seed, SPLIT_SALT]).permutation(cohort.n)
     chunks = np.array_split(perm, config.folds)
 
-    best: tuple[float, int] | None = None
     best_model: SurvivalModel | None = None
     reports: list[FoldReport] = []
     for fold in range(config.folds):
@@ -501,11 +501,14 @@ def train(cohort: SyntheticCohort, config: TrainConfig) -> tuple[SurvivalModel, 
         edges = quantile_bin_edges(train_co.times, config.n_bins)
         model, report = _fit_fold(train_co, val_co, config, fold, edges)
         reports.append(report)
-        key = (report.best_val_ctd, -fold)  # ties go to the earlier fold
-        if best is None or key > best:
-            best = key
+        if best_fold(reports) is report:
             best_model = model
     return best_model, reports
+
+
+def best_fold(reports: list[FoldReport]) -> FoldReport:
+    """The fold with the highest best_val_ctd; ties go to the earlier fold."""
+    return max(reports, key=lambda r: (r.best_val_ctd, -r.fold))
 
 
 # ---------------------------------------------------------------------------

@@ -221,8 +221,7 @@ def test_tape_order_is_execution_order():
     a = ad.Tensor([1.0], requires_grad=True)
     b = a * 2.0
     c = b + 1.0
-    recs = ad.active_graph().records
-    assert [r[0] for r in recs] == [b, c]
+    assert [r[0] for r in ad.active_graph()] == [b, c]
     ad.reset_graph()
 
 

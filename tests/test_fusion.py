@@ -160,8 +160,6 @@ def test_zero_latent_zero_weights_gives_positional_table():
     table = fusion.positional_encoding(8, CFG.d_model)
     for i in range(3):
         assert np.array_equal(out.data[i], table)
-    plain = fusion.patchify_embed(z, params, "ct", ENC, CFG, include_positional=False)
-    assert not plain.data.any()
 
 
 def test_patchify_rejects_wrong_layout():
@@ -177,9 +175,10 @@ def test_patch_grouping_is_local():
     base = np.zeros((1, ENC.latent_dim, ENC.grid_voxels))
     bumped = base.copy()
     bumped[0, 0, 0] = 1.0  # grid cell (0,0,0), patch 0
-    a = fusion.patchify_embed(ad.Tensor(base), params, "ct", ENC, CFG, include_positional=False)
-    b = fusion.patchify_embed(ad.Tensor(bumped), params, "ct", ENC, CFG, include_positional=False)
-    diff = np.abs(a.data - b.data).sum(axis=2)[0]
+    table = fusion.positional_encoding(8, CFG.d_model)
+    a = fusion.patchify_embed(ad.Tensor(base), params, "ct", ENC, CFG).data - table
+    b = fusion.patchify_embed(ad.Tensor(bumped), params, "ct", ENC, CFG).data - table
+    diff = np.abs(a - b).sum(axis=2)[0]
     assert diff[0] > 0
     assert not diff[1:].any()
 
@@ -188,12 +187,22 @@ def test_patch_grouping_is_local():
 # discrete route
 
 
+def attended(disc, params):
+    """(ct queries over pet, pet queries over ct) cross_attention results
+    rebuilt from the embeddings a discrete_fusion pass returned."""
+    return (fusion.cross_attention(disc.embed_ct, disc.embed_pet, params, "ct", "pet", CFG),
+            fusion.cross_attention(disc.embed_pet, disc.embed_ct, params, "pet", "ct", CFG))
+
+
 def test_stream_mix_extremes():
     params = make_params(9)
     params["mix_ct"].data[...] = 1.0
     params["mix_pet"].data[...] = 0.0
     out = fusion.discrete_fusion(rand_latent(10), rand_latent(11), params, ENC, CFG)
-    manual = out.attended_ct.data + out.embed_ct.data
+    (a_ct, q_ct, k_pet), _ = attended(out, params)
+    assert np.array_equal(q_ct.data, out.query_ct.data)
+    assert np.array_equal(k_pet.data, out.key_pet.data)
+    manual = a_ct.data + out.embed_ct.data
     np.testing.assert_allclose(out.fused.data, manual, rtol=0, atol=0)
 
 
@@ -204,8 +213,11 @@ def test_symmetric_inputs_symmetric_params():
     params["out_pet2ct_w"].data[...] = params["out_ct2pet_w"].data
     z = rand_latent(13)
     out = fusion.discrete_fusion(z, ad.Tensor(z.data.copy()), params, ENC, CFG)
-    np.testing.assert_allclose(out.attended_ct.data, out.attended_pet.data, atol=1e-12)
-    np.testing.assert_allclose(out.weights_ct.data, out.weights_pet.data, atol=1e-12)
+    (a_ct, q_ct, k_pet), (a_pet, q_pet, k_ct) = attended(out, params)
+    np.testing.assert_allclose(a_ct.data, a_pet.data, atol=1e-12)
+    _, w_ct = fusion.scaled_dot_attention(q_ct, k_pet, k_pet, CFG.n_heads)
+    _, w_pet = fusion.scaled_dot_attention(q_pet, k_ct, k_ct, CFG.n_heads)
+    np.testing.assert_allclose(w_ct.data, w_pet.data, atol=1e-12)
 
 
 def test_direction_swap_mirrors_attended_streams():
@@ -214,10 +226,10 @@ def test_direction_swap_mirrors_attended_streams():
         params[f"{key}_pet"].data[...] = params[f"{key}_ct"].data
     params["out_pet2ct_w"].data[...] = params["out_ct2pet_w"].data
     za, zb = rand_latent(15), rand_latent(16)
-    fwd = fusion.discrete_fusion(za, zb, params, ENC, CFG)
-    rev = fusion.discrete_fusion(zb, za, params, ENC, CFG)
-    np.testing.assert_allclose(fwd.attended_ct.data, rev.attended_pet.data, atol=1e-12)
-    np.testing.assert_allclose(fwd.attended_pet.data, rev.attended_ct.data, atol=1e-12)
+    (fwd_ct, _, _), (fwd_pet, _, _) = attended(fusion.discrete_fusion(za, zb, params, ENC, CFG), params)
+    (rev_ct, _, _), (rev_pet, _, _) = attended(fusion.discrete_fusion(zb, za, params, ENC, CFG), params)
+    np.testing.assert_allclose(fwd_ct.data, rev_pet.data, atol=1e-12)
+    np.testing.assert_allclose(fwd_pet.data, rev_ct.data, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +241,6 @@ def _manual_disc(query, key, fused, e_ct, e_pet):
     return fusion.DiscretePathOutput(
         fused=t(fused), embed_ct=t(e_ct), embed_pet=t(e_pet),
         query_ct=t(query), key_pet=t(key),
-        attended_ct=t(np.zeros_like(e_ct)), attended_pet=t(np.zeros_like(e_pet)),
-        weights_ct=t(np.zeros((1, 1, 1, 1))), weights_pet=t(np.zeros((1, 1, 1, 1))),
     )
 
 

@@ -82,15 +82,6 @@ def test_concordance_constant_curves_score_half():
     assert c == 0.5
 
 
-def test_concordance_strict_tie_rule():
-    values = np.full((4, 2, 1), 0.3)
-    times = np.array([1, 1, 2, 2])
-    events = np.array([1, 1, 0, 0])
-    assert stats.concordance(values, times, events, ties="strict") == 0.0
-    with pytest.raises(ConfigError):
-        stats.concordance(values, times, events, ties="nearest")
-
-
 def test_concordance_undefined_without_pairs():
     values = np.zeros((2, 2, 1))
     with pytest.raises(UndefinedMetricError):

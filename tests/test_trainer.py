@@ -381,7 +381,7 @@ def test_default_step_tape_length():
     model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]), np.arange(1.0, cfg.n_bins))
     bundle = model.losses(model.forward(cohort.ct, cohort.pet), np.array([2, 5]), np.array([1, 0]))
     assert bundle.ranking.item() > 0.0
-    assert len(ad.active_graph()) <= 230
+    assert len(ad.active_graph()) <= 228
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +412,48 @@ def test_training_deterministic(cohort24, trained):
         assert da == db
 
 
-def test_returned_model_is_best_fold(trained):
-    _, reports = trained
+def test_returned_model_is_best_fold(cohort24, trained):
+    model, reports = trained
     best = max(reports, key=lambda r: (r.best_val_ctd, -r.fold))
+    assert trainer.best_fold(reports) is best
     assert reports[0].best_val_ctd != reports[1].best_val_ctd or best.fold == 0
-    # restored snapshot means the recomputed clean score equals the tracked best
-    assert best.clean_ctd == pytest.approx(best.best_val_ctd)
+    # the clean score is the best epoch's own validation score
+    assert all(r.clean_ctd == r.best_val_ctd for r in reports)
+    # and the returned, restored model reproduces it and its codebook health
+    perm = np.random.default_rng([1, trainer.SPLIT_SALT]).permutation(cohort24.n)
+    val = cohort24.subset(np.array_split(perm, 2)[best.fold])
+    values, _, usage = model.predict(val.ct, val.pet)
+    bins = trainer.assign_bins(val.times, model.bin_edges)
+    assert stats.concordance(values, bins, val.events) == best.best_val_ctd
+    for m in vq.MODALITIES:
+        health = vq.codebook_health(model.scoped(m)["codebook"], usage[m])
+        assert best.codebook[m] == {"perplexity": health.perplexity,
+                                    "dead_entries": health.dead_entries}
+
+
+def test_train_predicts_once_per_epoch_plus_noisy_check(cohort24, monkeypatch):
+    calls = []
+    original = trainer.SurvivalModel.predict
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(trainer.SurvivalModel, "predict", counted)
+    folds = []
+    fit_fold = trainer._fit_fold
+
+    def counted_fold(*args, **kwargs):
+        before = len(calls)
+        model, report = fit_fold(*args, **kwargs)
+        folds.append((len(calls) - before, report.epochs_run))
+        return model, report
+
+    monkeypatch.setattr(trainer, "_fit_fold", counted_fold)
+    trainer.train(cohort24, tiny_config())
+    # one validation pass per epoch plus one on the noisy validation copy
+    assert len(folds) == 2
+    assert all(n == epochs + 1 for n, epochs in folds)
 
 
 def test_cohort_too_small_rejected(cohort24):
