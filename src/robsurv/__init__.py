@@ -7,8 +7,6 @@ discrete-time competing-risks hazard head.  Everything runs on the
 float64 reverse-mode autodiff core in `robsurv.autodiff`.
 """
 
-from .autodiff import Tensor, backward, no_grad, reset_graph
-
 __version__ = "0.1.0"
 
-__all__ = ["Tensor", "backward", "no_grad", "reset_graph", "__version__"]
+__all__ = ["__version__"]

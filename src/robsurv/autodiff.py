@@ -23,6 +23,12 @@ Rules kept deliberately narrow:
 * broadcasting is restricted to leading-axis and trailing-singleton
   patterns, which keeps every backward rule a sum over an axis prefix
   or suffix followed by a reshape.
+* ``matmul`` accepts two shapes only: a 2-D weight ``b`` under an ``a``
+  of rank 2 or more (a linear layer), or operands of equal rank and
+  equal batch axes (attention).  Neither needs a broadcast reduction in
+  its backward rule.
+* ``max`` and ``l2norm`` reduce along one given axis; ``transpose`` takes
+  an explicit permutation.
 * ``detach``, ``straight_through`` and ``clip_passthrough`` are the only
   primitives whose declared Jacobian differs from the true local
   derivative of their forward map; everything else is checkable against
@@ -113,9 +119,6 @@ class Tensor:
             raise ContractError(f"item() needs a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def backward(self) -> None:
-        backward(self)
-
     def detach(self) -> "Tensor":
         return detach(self)
 
@@ -125,13 +128,13 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return _reduce_mean(self, axis, keepdims)
 
-    def max(self, axis=None) -> "Tensor":
+    def max(self, axis: int) -> "Tensor":
         return _reduce_max(self, axis)
 
     def reshape(self, shape) -> "Tensor":
         return reshape(self, shape)
 
-    def transpose(self, axes=None) -> "Tensor":
+    def transpose(self, axes) -> "Tensor":
         return transpose(self, axes)
 
     def __add__(self, other):
@@ -270,70 +273,58 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # binary elementwise primitives
 
-def _binary(op: str, a, b, fwd, pull_factory) -> Tensor:
+def _binary(op: str, a, b, fwd, grads) -> Tensor:
+    """Record ``fwd(a, b)``; ``grads(g, x, y)`` gives both unreduced operand gradients."""
     ta, tb = as_tensor(a), as_tensor(b)
     _broadcast_shape(ta.shape, tb.shape, op)
-    data = _ensure_finite(fwd(ta.data, tb.data), op)
-    out = _wrap(data)
-    return _record(out, (ta, tb), pull_factory(ta, tb, out))
+    out = _wrap(_ensure_finite(fwd(ta.data, tb.data), op))
+
+    def pull(g):
+        ga, gb = grads(g, ta.data, tb.data)
+        return _sum_to(ga, ta.shape), _sum_to(gb, tb.shape)
+
+    return _record(out, (ta, tb), pull)
+
+
+def _divide(x, y):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(x, y)
 
 
 def add(a, b) -> Tensor:
-    def factory(ta, tb, out):
-        def pull(g):
-            return _sum_to(g, ta.shape), _sum_to(g, tb.shape)
-        return pull
-    return _binary("add", a, b, np.add, factory)
+    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    def factory(ta, tb, out):
-        def pull(g):
-            return _sum_to(g, ta.shape), _sum_to(-g, tb.shape)
-        return pull
-    return _binary("sub", a, b, np.subtract, factory)
+    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
 
 
 def mul(a, b) -> Tensor:
-    def factory(ta, tb, out):
-        def pull(g):
-            return _sum_to(g * tb.data, ta.shape), _sum_to(g * ta.data, tb.shape)
-        return pull
-    return _binary("mul", a, b, np.multiply, factory)
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
 
 
 def div(a, b) -> Tensor:
-    def fwd(x, y):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.divide(x, y)
-
-    def factory(ta, tb, out):
-        def pull(g):
-            ga = _sum_to(g / tb.data, ta.shape)
-            gb = _sum_to(-g * ta.data / (tb.data * tb.data), tb.shape)
-            return ga, gb
-        return pull
-    return _binary("div", a, b, fwd, factory)
+    return _binary("div", a, b, _divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
 def matmul(a, b) -> Tensor:
+    """``a @ b`` for a 2-D weight ``b``, or for operands with equal batch axes."""
     ta, tb = as_tensor(a), as_tensor(b)
     if ta.ndim < 2 or tb.ndim < 2:
         raise ShapeError("matmul operands must have >= 2 dims")
     if ta.shape[-1] != tb.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {ta.shape} @ {tb.shape}")
-    if ta.ndim > 2 and tb.ndim > 2 and ta.shape[:-2] != tb.shape[:-2]:
+    if tb.ndim > 2 and ta.shape[:-2] != tb.shape[:-2]:
         raise ShapeError(f"matmul batch dims differ: {ta.shape} @ {tb.shape}")
-    data = _ensure_finite(ta.data @ tb.data, "matmul")
-    out = _wrap(data)
+    out = _wrap(_ensure_finite(ta.data @ tb.data, "matmul"))
 
     def pull(g):
-        ga = _sum_to(g @ np.swapaxes(tb.data, -1, -2), ta.shape)
-        if ta.ndim > 2 and tb.ndim == 2:
+        ga = g @ np.swapaxes(tb.data, -1, -2)
+        if tb.ndim == 2:
             # fold the batch axes into rows: one product, no (B, in, out) stack to sum
             gb = ta.data.reshape(-1, ta.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         else:
-            gb = _sum_to(np.swapaxes(ta.data, -1, -2) @ g, tb.shape)
+            gb = np.swapaxes(ta.data, -1, -2) @ g
         return ga, gb
 
     return _record(out, (ta, tb), pull)
@@ -438,21 +429,9 @@ def _reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, (tx,), pull)
 
 
-def _reduce_max(x, axis=None) -> Tensor:
-    """Max reduction; gradient routes to the first attaining element."""
+def _reduce_max(x, axis: int) -> Tensor:
+    """Max along one axis; gradient routes to the first attaining element."""
     tx = as_tensor(x)
-    if axis is None:
-        flat_i = int(np.argmax(tx.data))
-        data = tx.data.reshape(-1)[flat_i]
-        out = _wrap(np.asarray(data))
-
-        def pull(g):
-            z = np.zeros_like(tx.data)
-            z.reshape(-1)[flat_i] = np.asarray(g).reshape(())
-            return (z,)
-
-        return _record(out, (tx,), pull)
-
     ax = _normalized_axis(axis, tx.ndim)
     idx = np.expand_dims(np.argmax(tx.data, axis=ax), ax)
     data = np.take_along_axis(tx.data, idx, axis=ax).squeeze(ax)
@@ -466,21 +445,20 @@ def _reduce_max(x, axis=None) -> Tensor:
     return _record(out, (tx,), pull)
 
 
-def l2norm(x, axis=None) -> Tensor:
-    """Euclidean norm over the whole tensor or one axis.
+def l2norm(x, axis: int) -> Tensor:
+    """Euclidean norm along one axis.
 
     The gradient at an exactly-zero slice is taken to be zero.
     """
     tx = as_tensor(x)
-    if axis is not None:
-        axis = _normalized_axis(axis, tx.ndim)
+    axis = _normalized_axis(axis, tx.ndim)
     sq = (tx.data * tx.data).sum(axis=axis)
     data = np.sqrt(sq)
     out = _wrap(np.asarray(data))
 
     def pull(g):
-        norm_e = _expand_reduced(np.asarray(data), tx.shape, axis, False)
-        g_e = _expand_reduced(np.asarray(g), tx.shape, axis, False)
+        norm_e = _expand_reduced(data, tx.shape, axis, False)
+        g_e = _expand_reduced(g, tx.shape, axis, False)
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(norm_e > 0.0, tx.data / np.where(norm_e == 0.0, 1.0, norm_e), 0.0)
         return (g_e * frac,)
@@ -583,10 +561,8 @@ def reshape(x, shape) -> Tensor:
     return _record(out, (tx,), pull)
 
 
-def transpose(x, axes=None) -> Tensor:
+def transpose(x, axes) -> Tensor:
     tx = as_tensor(x)
-    if axes is None:
-        axes = tuple(reversed(range(tx.ndim)))
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(tx.ndim)):
         raise ShapeError(f"invalid permutation {axes} for ndim {tx.ndim}")

@@ -33,6 +33,7 @@ from .errors import (
 )
 from .fileio import atomic_text, ensure_dir
 from .synthdata import (
+    PET_LEVELS,
     CohortConfig,
     NoiseSpec,
     generate_cohort,
@@ -58,8 +59,14 @@ _INPUT_ERRORS = (
 )
 _NUMERIC_ERRORS = (NumericsError, TrainingDivergedError)
 
-PET_CHOICES = ("none", "low", "medium", "high")
-ABLATIONS = ("none", "no-vq", "no-cont", "no-fuse")
+PET_CHOICES = ("none", *PET_LEVELS)
+# --ablate choice -> the TrainConfig switches it sets
+ABLATIONS = {
+    "none": {},
+    "no-vq": {"use_quantization": False},
+    "no-cont": {"use_continuous": False},
+    "no-fuse": {"use_cross_fusion": False},
+}
 
 
 def _emit(pairs: dict) -> None:
@@ -109,17 +116,8 @@ def _load_train_config(path: str | None, ablate: str) -> trainer.TrainConfig:
             raw = json.loads(file.read_text())
         except ValueError as err:  # undecodable bytes or invalid JSON
             raise ConfigError(f"config file is not valid JSON: {err}") from None
-    config = trainer.config_from_dict(raw)
     # the ablation flag wins over whatever the config file says
-    flags = {
-        "none": {},
-        "no-vq": {"use_quantization": False},
-        "no-cont": {"use_continuous": False},
-        "no-fuse": {"use_cross_fusion": False},
-    }[ablate]
-    if flags:
-        config = dataclasses.replace(config, **flags)
-    return config
+    return dataclasses.replace(trainer.config_from_dict(raw), **ABLATIONS[ablate])
 
 
 def _strip_timing(report: dict) -> dict:

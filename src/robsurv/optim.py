@@ -1,8 +1,11 @@
-"""Adam with bias correction, updating tensor buffers in place."""
+"""Adam with bias correction, updating tensor buffers in place.
+
+β1, β2 and ε are the defaults of Kingma & Ba (arXiv:1412.6980); only the
+learning rate is set per run.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -11,24 +14,13 @@ from .autodiff import Tensor
 from .errors import ConfigError, ShapeError
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ConfigError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-                step_index: int, cfg: AdamConfig,
+                step_index: int, lr: float,
                 scratch: tuple[np.ndarray, np.ndarray]) -> None:
     """One bias-corrected Adam update, in place.  ``step_index`` is 1-based.
 
@@ -42,18 +34,18 @@ def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarra
         raise ShapeError(f"adam buffers disagree with param shape {param.shape}")
     a = scratch[0][:param.size].reshape(param.shape)
     b = scratch[1][:param.size].reshape(param.shape)
-    np.multiply(grad, 1.0 - cfg.beta1, out=a)
-    m *= cfg.beta1
+    np.multiply(grad, 1.0 - BETA1, out=a)
+    m *= BETA1
     m += a
-    np.multiply(grad, 1.0 - cfg.beta2, out=a)
+    np.multiply(grad, 1.0 - BETA2, out=a)
     a *= grad
-    v *= cfg.beta2
+    v *= BETA2
     v += a
-    np.divide(v, 1.0 - cfg.beta2 ** step_index, out=b)
+    np.divide(v, 1.0 - BETA2 ** step_index, out=b)
     np.sqrt(b, out=b)
-    b += cfg.eps
-    np.divide(m, 1.0 - cfg.beta1 ** step_index, out=a)
-    a *= cfg.lr
+    b += EPS
+    np.divide(m, 1.0 - BETA1 ** step_index, out=a)
+    a *= lr
     a /= b
     param -= a
 
@@ -65,9 +57,11 @@ class Adam:
     which leaves both their values and their moment buffers untouched.
     """
 
-    def __init__(self, params: Sequence[Tensor], config: AdamConfig | None = None):
+    def __init__(self, params: Sequence[Tensor], lr: float):
+        if not lr > 0:  # written so that NaN fails too
+            raise ConfigError("lr must be positive")
         self.params = list(params)
-        self.config = config if config is not None else AdamConfig()
+        self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -79,7 +73,7 @@ class Adam:
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
-            adam_update(p.data, p.grad, m, v, self.t, self.config, self._scratch)
+            adam_update(p.data, p.grad, m, v, self.t, self.lr, self._scratch)
 
     def zero_grad(self) -> None:
         for p in self.params:

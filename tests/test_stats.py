@@ -157,6 +157,24 @@ def test_km_csv_roundtrip(tmp_path):
     assert {r[4] for r in parsed} == {"low"}
 
 
+def test_km_csv_failed_write_keeps_previous_file(tmp_path):
+    curve = stats.km_curve(np.array([1, 2, 3]), np.array([1, 1, 0]))
+    path = tmp_path / "km.csv"
+    stats.write_km_csv(path, {"low": curve})
+    before = path.read_bytes()
+
+    class Unwritable:
+        def __float__(self):
+            raise RuntimeError("value fails mid-write")
+
+    broken = stats.SurvCurve(times=np.array([1, 2]), survival=np.array([0.5, Unwritable()]),
+                             at_risk=np.array([2, 1]), n_events=np.array([1, 1]))
+    with pytest.raises(RuntimeError):
+        stats.write_km_csv(path, {"low": curve, "high": broken})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["km.csv"]
+
+
 # ---------------------------------------------------------------------------
 # chi-squared tail
 

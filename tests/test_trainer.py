@@ -456,6 +456,25 @@ def test_train_predicts_once_per_epoch_plus_noisy_check(cohort24, monkeypatch):
     assert all(n == epochs + 1 for n, epochs in folds)
 
 
+def test_train_snapshots_only_improving_epochs(cohort24, monkeypatch):
+    calls = []
+    original = trainer.SurvivalModel.snapshot
+
+    def counted(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(trainer.SurvivalModel, "snapshot", counted)
+    _, reports = trainer.train(cohort24, tiny_config())
+    improved = 0
+    for report in reports:
+        best = -np.inf
+        for score in report.val_ctd:
+            if score > best:
+                best, improved = score, improved + 1
+    assert len(calls) == improved
+
+
 def test_cohort_too_small_rejected(cohort24):
     with pytest.raises(ConfigError):
         trainer.train(cohort24, tiny_config(folds=4, batch_size=8))
