@@ -46,7 +46,7 @@ class DataFormatError(ValueError):
 
 
 class IncompatibleInputError(ValueError):
-    """Data and model/config disagree on fixed dimensions."""
+    """Data and model/config disagree on fixed dimensions or value ranges."""
 
 
 class TrainingDivergedError(RuntimeError):

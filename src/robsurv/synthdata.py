@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError
+from .errors import ConfigError, DataFormatError, IncompatibleInputError
 
 CT_SIGMA_CHOICES = (0.0, 0.01, 0.05, 0.1)
 PET_LEVELS = ("low", "medium", "high")
@@ -172,13 +172,23 @@ def gaussian_noise(volume: np.ndarray, sigma: float, seed) -> np.ndarray:
 
 
 def poisson_noise(volume: np.ndarray, level: str, seed) -> np.ndarray:
-    """Photon-counting noise: draw Poisson(x*s)/s at the level's count scale."""
+    """Photon-counting noise: draw Poisson(x*s)/s at the level's count scale.
+
+    A mean count numpy cannot draw (near 2**63, or NaN) raises
+    ``IncompatibleInputError``.
+    """
     if level not in POISSON_SCALES:
         raise ConfigError(f"level must be one of {PET_LEVELS}")
     scale = POISSON_SCALES[level]
     volume = np.clip(np.asarray(volume, dtype=float), 0.0, None)
     rng = np.random.default_rng(seed)
-    return rng.poisson(volume * scale).astype(float) / scale
+    try:
+        counts = rng.poisson(volume * scale)
+    except ValueError:  # numpy refuses a mean near the int64 limit, or NaN
+        raise IncompatibleInputError(
+            f"PET intensity {volume.max():g} is beyond the range of {level} Poisson count "
+            f"noise") from None
+    return counts.astype(float) / scale
 
 
 def noise_order(n: int, seed: int) -> np.ndarray:
@@ -250,6 +260,11 @@ def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
 
 
 def load_cohort(data_dir) -> SyntheticCohort:
+    """Read a cohort written by ``save_cohort``.  A missing, truncated or
+    inconsistent file raises ``DataFormatError``: besides unparseable fields,
+    that covers a repeated patient id, a time bin below 1, an event code
+    outside 0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
+    """
     from pathlib import Path
 
     data_dir = Path(data_dir)
@@ -278,11 +293,24 @@ def load_cohort(data_dir) -> SyntheticCohort:
                 times.append(int(rec["time_bin"]))
                 events.append(int(rec["event"]))
                 risk.append(float(rec["latent_risk"]))
-                noisy.append(bool(int(rec["noisy"])))
+                noisy.append(int(rec["noisy"]))
     except (OSError, csv.Error, KeyError, TypeError, ValueError) as err:  # TypeError: short row
         raise DataFormatError(f"unreadable outcomes.csv: {err}") from None
     if len(ids) != expected_n:
         raise DataFormatError(f"manifest says {expected_n} patients, CSV has {len(ids)}")
+    seen = set()
+    for pid, t, e, flag in zip(ids, times, events, noisy):
+        # a repeated id would read another patient's volumes and noise stream
+        if pid in seen:
+            raise DataFormatError(f"outcomes.csv lists patient_id {pid} twice")
+        seen.add(pid)
+        if t < 1:
+            raise DataFormatError(f"outcomes.csv: patient {pid} has time_bin {t}, bins start at 1")
+        if not 0 <= e <= config.n_risks:
+            raise DataFormatError(f"outcomes.csv: patient {pid} has event {e}, "
+                                  f"manifest allows 0..{config.n_risks}")
+        if flag not in (0, 1):
+            raise DataFormatError(f"outcomes.csv: patient {pid} has noisy {flag}, not 0 or 1")
 
     v = side ** 3
     ct = np.empty((len(ids), v))
@@ -295,6 +323,8 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raw = np.frombuffer(path.read_bytes(), dtype="<f4")
             if raw.size != v:
                 raise DataFormatError(f"{path.name} holds {raw.size} voxels, expected {v}")
+            if not np.isfinite(raw).all():
+                raise DataFormatError(f"{path.name} holds a non-finite voxel")
             target[row] = raw.astype(float)
     return SyntheticCohort(
         patient_ids=np.asarray(ids, dtype=int),

@@ -14,7 +14,10 @@ wall-clock timings.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -37,7 +40,7 @@ from .fileio import atomic_text
 from .optim import Adam
 from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noise_order
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 # seed salts: keep the independent random streams from colliding
 SPLIT_SALT = 7919
@@ -331,11 +334,21 @@ class SurvivalModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the config, bin edges and every parameter as base64 of its
+        little-endian float64 bytes, plus a sha256 over those bytes in
+        sorted-name order; the round trip is bitwise exact."""
+        params, digest = {}, hashlib.sha256()
+        for name in sorted(self.params):
+            data = self.params[name].data
+            raw = data.astype("<f8", copy=False).tobytes()  # C order, 0-d stays 0-d
+            digest.update(raw)
+            params[name] = {"shape": list(data.shape), "f64le": base64.b64encode(raw).decode()}
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "config": config_to_dict(self.config),
             "bin_edges": [float(e) for e in self.bin_edges],
-            "params": {k: self.params[k].data.tolist() for k in sorted(self.params)},
+            "params": params,
+            "sha256": digest.hexdigest(),
         }
         atomic_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
@@ -346,25 +359,53 @@ class SurvivalModel:
         if not path.is_file():
             raise DataFormatError(f"no model file at {path}")
         try:
-            payload = json.loads(path.read_text())
-            if payload["format_version"] != MODEL_FORMAT_VERSION:
-                raise DataFormatError(f"unsupported model format {payload['format_version']}")
+            payload = json.loads(path.read_bytes())
+            version = payload["format_version"]
+            if version != MODEL_FORMAT_VERSION:
+                raise DataFormatError(
+                    f"model format {version!r}, but only format {MODEL_FORMAT_VERSION} "
+                    f"can be read; retrain to write one")
             # save writes every field, so a missing one means a damaged file
             missing = sorted({f.name for f in fields(TrainConfig)} - set(payload["config"]))
             if missing:
                 raise DataFormatError(f"config lacks {', '.join(missing)}")
             config = config_from_dict(payload["config"])
-            params = {k: ad.Tensor(np.asarray(v, dtype=float), requires_grad=True)
-                      for k, v in payload["params"].items()}
+            params = _decode_params(payload["params"], payload["sha256"])
             shapes = {k: shape for k, (shape, _, _) in param_specs(config).items()}
             wrong = sorted(k for k in shapes.keys() | params.keys()
                            if k not in params or params[k].shape != shapes.get(k))
             if wrong:
                 raise DataFormatError(f"parameters {', '.join(wrong)} do not match the config")
             return cls(params, config, payload["bin_edges"])
-        # ConfigError, DataFormatError, JSONDecodeError and ragged arrays are ValueErrors
+        # ConfigError, DataFormatError, JSONDecodeError and bad base64 are ValueErrors
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise DataFormatError(f"bad model file {path}: {err}") from None
+
+
+def _decode_params(entries: dict, checksum: str) -> dict:
+    """Tensors from ``save``'s ``{"shape", "f64le"}`` entries, checked against
+    their shapes and the file's sha256."""
+    if not isinstance(entries, dict):
+        raise DataFormatError("params must be a JSON object")
+    digest = hashlib.sha256()
+    params = {}
+    for name in sorted(entries):
+        entry = entries[name]
+        if not isinstance(entry, dict) or entry.keys() != {"f64le", "shape"}:
+            raise DataFormatError(f"parameter {name} must be an object with keys f64le and shape")
+        shape = entry["shape"]
+        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+            raise DataFormatError(f"parameter {name} has shape {shape!r}")
+        raw = base64.b64decode(entry["f64le"], validate=True)
+        need = 8 * math.prod(shape)
+        if len(raw) != need:
+            raise DataFormatError(f"parameter {name} holds {len(raw)} bytes, "
+                                  f"shape {shape} needs {need}")
+        digest.update(raw)
+        params[name] = ad.Tensor(np.frombuffer(raw, "<f8").reshape(shape), requires_grad=True)
+    if digest.hexdigest() != checksum:
+        raise DataFormatError("parameter bytes do not match the file's sha256")
+    return params
 
 
 # ---------------------------------------------------------------------------

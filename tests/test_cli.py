@@ -1,10 +1,13 @@
 """Command line behavior: artifacts, exit codes, reproducibility."""
 
+import base64
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from robsurv import cli, trainer
@@ -178,7 +181,8 @@ def test_train_bad_config_file(workspace, tmp_path, capsys, content):
     assert_one_error_line(err)
 
 
-@pytest.mark.parametrize("damage", ["delete", "non-integer", "short row", "no column"])
+@pytest.mark.parametrize("damage", ["delete", "non-integer", "short row", "no column",
+                                    "time_bin -3", "event 9", "duplicate id"])
 def test_train_bad_outcomes_csv(workspace, tmp_path, capsys, damage):
     data = copy_tree(workspace["data"], tmp_path / "data")
     csv_path = data / "outcomes.csv"
@@ -189,8 +193,12 @@ def test_train_bad_outcomes_csv(workspace, tmp_path, capsys, damage):
         csv_path.write_text("\n".join([lines[0], lines[1].replace(",", ".5,", 1)] + lines[2:]))
     elif damage == "short row":
         csv_path.write_text("\n".join([lines[0], lines[1].rsplit(",", 1)[0]] + lines[2:]))
-    else:
+    elif damage == "no column":
         csv_path.write_text("\n".join([lines[0].replace("time_bin", "tbin")] + lines[1:]))
+    elif damage == "duplicate id":
+        _set_outcome(data, "patient_id", _first_patient_id(data), row=2)
+    else:
+        _set_outcome(data, *damage.split())
     code, _, err = run_cli(["train", "--data", data, "--config", workspace["config"],
                             "--out", tmp_path / "run"], capsys)
     assert code == 3
@@ -270,12 +278,47 @@ def test_eval_invalid_noise_flags(workspace, tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("edit", [
-    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # ragged
-    lambda p: p["config"].__setitem__("lr", -1),
-    lambda p: p["config"].pop("epochs"),
-    lambda p: p["config"].__setitem__("encoder", 5),
-], ids=["ragged-params", "negative-lr", "missing-field", "encoder-not-object"])
+def _b64(raw: bytes) -> str:
+    return base64.b64encode(raw).decode()
+
+
+def _reseal(payload: dict) -> None:
+    """Recompute the checksum, so that an edit leaves exactly one fault."""
+    digest = hashlib.sha256()
+    for name in sorted(payload["params"]):
+        digest.update(base64.b64decode(payload["params"][name]["f64le"]))
+    payload["sha256"] = digest.hexdigest()
+
+
+def _with_entry(name: str, entry: dict):
+    def edit(payload):
+        payload["params"][name] = entry
+        _reseal(payload)
+    return edit
+
+
+def _flip_one_value(payload):
+    entry = payload["params"]["head.head_w1"]
+    raw = bytearray(base64.b64decode(entry["f64le"]))
+    raw[0] ^= 1
+    entry["f64le"] = _b64(bytes(raw))
+
+
+# each edit damages one field of a format-2 model.json
+MODEL_EDITS = {
+    # three float64 values under a 2 x 2 shape, as a ragged list once was
+    "ragged-params": _with_entry("head.head_w1", {"shape": [2, 2], "f64le": _b64(bytes(24))}),
+    "bad-base64": lambda p: p["params"]["head.head_w1"].__setitem__("f64le", "@@not base64@@"),
+    "dtype-key": lambda p: p["params"]["head.head_w1"].__setitem__(
+        "f32le", p["params"]["head.head_w1"].pop("f64le")),
+    "checksum": _flip_one_value,
+    "negative-lr": lambda p: p["config"].__setitem__("lr", -1),
+    "missing-field": lambda p: p["config"].pop("epochs"),
+    "encoder-not-object": lambda p: p["config"].__setitem__("encoder", 5),
+}
+
+
+@pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
 def test_eval_bad_model_file(workspace, tmp_path, capsys, edit):
     payload = json.loads(workspace["model"].read_text())
     edit(payload)
@@ -285,6 +328,20 @@ def test_eval_bad_model_file(workspace, tmp_path, capsys, edit):
                             "--out", tmp_path / "x"], capsys)
     assert code == 3
     assert_one_error_line(err)
+
+
+def test_eval_version_1_model_names_the_format(workspace, tmp_path, capsys):
+    payload = json.loads(workspace["model"].read_text())
+    payload["format_version"] = 1
+    payload["params"] = {k: np.zeros(v["shape"]).tolist() for k, v in payload["params"].items()}
+    del payload["sha256"]
+    old = tmp_path / "model.json"
+    old.write_text(json.dumps(payload))
+    code, _, err = run_cli(["eval", "--model", old, "--data", workspace["data"],
+                            "--out", tmp_path / "x"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    assert "model format 1," in err
 
 
 def test_eval_missing_model(workspace, tmp_path, capsys):
@@ -393,6 +450,98 @@ def test_sweep_bad_thread_budget(workspace, tmp_path, capsys, monkeypatch):
                           "--data", workspace["data"], "--fractions", "0",
                           "--seeds", "0", "--out", tmp_path / "x"], capsys)
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# fault injection: delete, truncate or corrupt one field of each input file
+
+
+def _truncate(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+
+
+def _edit_json(path: Path, edit) -> None:
+    payload = json.loads(path.read_text())
+    edit(payload)
+    path.write_text(json.dumps(payload))
+
+
+def _set_outcome(data: Path, column: str, value, row: int = 1) -> None:
+    path = data / "outcomes.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[row].split(",")
+    fields[header.index(column)] = str(value)
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _set_voxel(path: Path, index: int, value: float) -> None:
+    voxels = np.fromfile(path, dtype="<f4")
+    voxels[index] = value
+    voxels.tofile(path)
+
+
+def _first_patient_id(data: Path) -> str:
+    return (data / "outcomes.csv").read_text().splitlines()[1].split(",")[0]
+
+
+# fault name -> damage applied to a copy of (cohort directory, model.json)
+FAULTS = {
+    "manifest-delete": lambda d, m: (d / "manifest.json").unlink(),
+    "manifest-truncate": lambda d, m: _truncate(d / "manifest.json"),
+    "manifest-field": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p["cohort"].__setitem__("n", 99)),
+    "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
+    "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
+    "outcomes-duplicate-id": lambda d, m: _set_outcome(
+        d, "patient_id", _first_patient_id(d), row=2),
+    "outcomes-event": lambda d, m: _set_outcome(d, "event", 9),
+    "outcomes-time-bin": lambda d, m: _set_outcome(d, "time_bin", -3),
+    "outcomes-noisy": lambda d, m: _set_outcome(d, "noisy", 2),
+    "volume-delete": lambda d, m: (d / "0_ct.f32").unlink(),
+    "volume-truncate": lambda d, m: _truncate(d / "0_ct.f32"),
+    "volume-nan": lambda d, m: _set_voxel(d / "0_ct.f32", 5, np.nan),
+    "volume-inf": lambda d, m: _set_voxel(d / "0_pet.f32", 5, np.inf),
+    "model-delete": lambda d, m: m.unlink(),
+    "model-truncate": lambda d, m: _truncate(m),
+    "model-field": lambda d, m: _edit_json(m, _flip_one_value),
+}
+
+
+def _damaged_copy(workspace, tmp_path: Path) -> tuple[Path, Path]:
+    data = copy_tree(workspace["data"], tmp_path / "data")
+    model = tmp_path / "model.json"
+    model.write_bytes(workspace["model"].read_bytes())
+    return data, model
+
+
+def _serve(command: str, model: Path, data: Path, out: Path, capsys):
+    argv = [command, "--model", model, "--data", data, "--out", out]
+    if command == "sweep":
+        argv += ["--fractions", "0,1.0", "--seeds", "0"]
+    return run_cli(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("fault", FAULTS.values(), ids=FAULTS.keys())
+def test_damaged_input_exits_3(workspace, tmp_path, capsys, fault, command):
+    data, model = _damaged_copy(workspace, tmp_path)
+    fault(data, model)
+    code, _, err = _serve(command, model, data, tmp_path / "out", capsys)
+    assert code == 3
+    assert_one_error_line(err)
+
+
+def test_sweep_huge_pet_voxel_is_input_error(workspace, tmp_path, capsys):
+    data, model = _damaged_copy(workspace, tmp_path)
+    _set_voxel(data / "0_pet.f32", 5, 3e38)  # finite, but no Poisson mean numpy can draw
+    code, _, err = _serve("sweep", model, data, tmp_path / "sw", capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    assert "PET intensity" in err
+    assert _serve("eval", model, data, tmp_path / "ev", capsys)[0] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robsurv import synthdata as sd
-from robsurv.errors import ConfigError, DataFormatError
+from robsurv.errors import ConfigError, DataFormatError, IncompatibleInputError
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +166,9 @@ def test_noise_validation():
         sd.gaussian_noise(np.zeros(4), -0.1, 0)
     with pytest.raises(ConfigError):
         sd.poisson_noise(np.zeros(4), "none", 0)
+    for bad in (3e38, np.nan):
+        with pytest.raises(IncompatibleInputError):
+            sd.poisson_noise(np.array([0.5, bad]), "high", 0)
 
 
 # ---------------------------------------------------------------------------

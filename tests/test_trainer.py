@@ -1,5 +1,7 @@
 """Training loop, objective composition, ablation freezing, evaluation."""
 
+import base64
+import hashlib
 import json
 
 import numpy as np
@@ -655,11 +657,45 @@ def test_save_load_round_trip(trained, tmp_path):
     loaded = trainer.SurvivalModel.load(path)
     assert loaded.config == model.config
     assert np.array_equal(loaded.bin_edges, model.bin_edges)
+    assert loaded.params.keys() == model.params.keys()
     for k in model.params:
-        assert np.array_equal(loaded.params[k].data, model.params[k].data)
+        # bitwise: same shape (the fuse.mix_* scalars stay 0-d) and same bytes
+        assert loaded.params[k].shape == model.params[k].shape
+        assert loaded.params[k].data.tobytes() == model.params[k].data.tobytes()
         assert loaded.params[k].requires_grad
+        assert loaded.params[k].data.flags.writeable
+    assert loaded.params["fuse.mix_ct"].shape == loaded.params["fuse.mix_pet"].shape == ()
     loaded.save(tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def test_saved_params_are_base64_tensors(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "model.json"
+    model.save(path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == trainer.MODEL_FORMAT_VERSION == 2
+    digest = hashlib.sha256()
+    for name in sorted(model.params):
+        entry = payload["params"][name]
+        assert entry.keys() == {"shape", "f64le"}
+        assert isinstance(entry["f64le"], str)  # no JSON number arrays
+        assert entry["shape"] == list(model.params[name].shape)
+        raw = base64.b64decode(entry["f64le"])
+        assert raw == model.params[name].data.astype("<f8").tobytes()
+        digest.update(raw)
+    assert payload["sha256"] == digest.hexdigest()
+
+
+def _set_tensor(payload: dict, name: str, array) -> None:
+    """Store ``array`` as parameter ``name`` and re-seal the checksum."""
+    array = np.asarray(array, dtype="<f8")
+    payload["params"][name] = {"shape": list(array.shape),
+                               "f64le": base64.b64encode(array.tobytes()).decode()}
+    digest = hashlib.sha256()
+    for key in sorted(payload["params"]):
+        digest.update(base64.b64decode(payload["params"][key]["f64le"]))
+    payload["sha256"] = digest.hexdigest()
 
 
 def test_load_rejects_bad_files(trained, tmp_path):
@@ -679,13 +715,14 @@ def test_load_rejects_bad_files(trained, tmp_path):
         trainer.SurvivalModel.load(bad)
     payload = json.loads(path.read_text())
     del payload["params"]["head.head_w1"]
+    _set_tensor(payload, "head.head_b1", model.params["head.head_b1"].data)  # re-seal
     bad.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="head.head_w1"):
         trainer.SurvivalModel.load(bad)
     payload = json.loads(path.read_text())
-    payload["params"]["head.head_b1"] = [[0.0]]
+    _set_tensor(payload, "head.head_b1", [[0.0]])  # sound encoding, wrong shape
     bad.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError):
+    with pytest.raises(DataFormatError, match="do not match the config"):
         trainer.SurvivalModel.load(bad)
     for corrupt in BAD_MODEL_EDITS:
         payload = json.loads(path.read_text())
@@ -695,9 +732,27 @@ def test_load_rejects_bad_files(trained, tmp_path):
             trainer.SurvivalModel.load(bad)
 
 
+def _edit_entry(name: str, **changes):
+    return lambda p: p["params"][name].update(changes)
+
+
+def _rename_key(name: str, old: str, new: str):
+    return lambda p: p["params"][name].__setitem__(new, p["params"][name].pop(old))
+
+
 # each edit damages one part of a saved model file
 BAD_MODEL_EDITS = [
-    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # ragged
+    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # format-1 list
+    _edit_entry("head.head_w1", shape=[2, 2], f64le=base64.b64encode(bytes(24)).decode()),
+    _edit_entry("head.head_b1", f64le="not base64!"),
+    _edit_entry("head.head_b1", f64le=5),
+    _edit_entry("head.head_b1", shape=[-1]),
+    _edit_entry("head.head_b1", shape=3),
+    _rename_key("head.head_b1", "f64le", "f32le"),  # a dtype other than float64
+    lambda p: p["params"]["head.head_b1"].__setitem__("extra", 1),
+    lambda p: p.__setitem__("sha256", "0" * 64),
+    lambda p: p.pop("sha256"),
+    lambda p: p.__setitem__("format_version", 1),
     lambda p: p["params"].__setitem__("head.head_b1", "zeros"),
     lambda p: p.__setitem__("params", []),
     lambda p: p["config"].__setitem__("lr", -1),
