@@ -13,7 +13,7 @@ Rules kept deliberately narrow:
 
 * float64 everywhere.  The primitives that can turn finite operands into
   NaN/Inf check their forward output and raise ``NumericsError``: add,
-  sub, mul, div, matmul, exp, cumsum and cumprod.  ``log`` and
+  sub, mul, div, linear, attention, exp, cumsum and cumprod.  ``log`` and
   ``cumprod`` raise ``DomainError`` on a non-positive operand.  The
   remaining primitives do not check; a sum or a norm can still overflow
   to Inf.
@@ -23,10 +23,10 @@ Rules kept deliberately narrow:
 * broadcasting is restricted to leading-axis and trailing-singleton
   patterns, which keeps every backward rule a sum over an axis prefix
   or suffix followed by a reshape.
-* ``matmul`` accepts two shapes only: a 2-D weight ``b`` under an ``a``
-  of rank 2 or more (a linear layer), or operands of equal rank and
-  equal batch axes (attention).  Neither needs a broadcast reduction in
-  its backward rule.
+* ``linear`` takes one shape: a 2-D weight under an operand of rank 2 or
+  more, and an optional bias as wide as the weight's output.
+  ``attention`` takes (B, Pq, W) queries and (B, Pk, W) keys and values,
+  W divisible by the head count.  Neither broadcasts.
 * ``max`` and ``l2norm`` reduce along one given axis; ``transpose`` takes
   an explicit permutation.
 * ``detach``, ``straight_through`` and ``clip_passthrough`` are the only
@@ -52,8 +52,8 @@ from .errors import ContractError, DomainError, NumericsError, ShapeError
 __all__ = [
     "Tensor", "active_graph", "reset_graph", "no_grad", "backward",
     "as_tensor", "linear_spec", "init_params",
-    "add", "sub", "mul", "div", "matmul",
-    "exp", "log", "sigmoid", "relu", "softmax", "l2norm",
+    "add", "sub", "mul", "div", "linear", "attention",
+    "exp", "log", "sigmoid", "relu", "l2norm",
     "cumsum", "cumprod", "concat", "reshape", "transpose", "slice_along", "take_rows",
     "detach", "straight_through", "clip_passthrough",
 ]
@@ -158,9 +158,6 @@ class Tensor:
 
     def __rtruediv__(self, other):
         return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return mul(self, -1.0)
@@ -307,27 +304,69 @@ def div(a, b) -> Tensor:
     return _binary("div", a, b, _divide, lambda g, x, y: (g / y, -g * x / (y * y)))
 
 
-def matmul(a, b) -> Tensor:
-    """``a @ b`` for a 2-D weight ``b``, or for operands with equal batch axes."""
-    ta, tb = as_tensor(a), as_tensor(b)
-    if ta.ndim < 2 or tb.ndim < 2:
-        raise ShapeError("matmul operands must have >= 2 dims")
-    if ta.shape[-1] != tb.shape[-2]:
-        raise ShapeError(f"matmul inner dims differ: {ta.shape} @ {tb.shape}")
-    if tb.ndim > 2 and ta.shape[:-2] != tb.shape[:-2]:
-        raise ShapeError(f"matmul batch dims differ: {ta.shape} @ {tb.shape}")
-    out = _wrap(_ensure_finite(ta.data @ tb.data, "matmul"))
+def linear(x, w, b=None) -> Tensor:
+    """``x @ w + b`` for a 2-D weight ``w``, as one record; ``b`` is optional."""
+    tx, tw = as_tensor(x), as_tensor(w)
+    if tx.ndim < 2 or tw.ndim != 2 or tx.shape[-1] != tw.shape[0]:
+        raise ShapeError(f"linear needs (..., n) @ (n, m), got {tx.shape} @ {tw.shape}")
+    data = tx.data @ tw.data
+    inputs = (tx, tw)
+    if b is not None:
+        tb = as_tensor(b)
+        if tb.shape != (tw.shape[1],):
+            raise ShapeError(f"linear bias must have shape ({tw.shape[1]},), got {tb.shape}")
+        data += tb.data
+        inputs = (tx, tw, tb)
+    out = _wrap(_ensure_finite(data, "linear"))
 
     def pull(g):
-        ga = g @ np.swapaxes(tb.data, -1, -2)
-        if tb.ndim == 2:
-            # fold the batch axes into rows: one product, no (B, in, out) stack to sum
-            gb = ta.data.reshape(-1, ta.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        else:
-            gb = np.swapaxes(ta.data, -1, -2) @ g
-        return ga, gb
+        gx = g @ tw.data.T
+        # fold the batch axes into rows: one product, no (B, in, out) stack to sum
+        gw = tx.data.reshape(-1, tx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return (gx, gw) if b is None else (gx, gw, _sum_to(g, tb.shape))
 
-    return _record(out, (ta, tb), pull)
+    return _record(out, inputs, pull)
+
+
+def attention(q, k, v, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, as one record.
+
+    q is (B, Pq, W) and k, v are (B, Pk, W) with W = n_heads * d_k.  Each
+    head takes softmax(q k^T / sqrt(d_k)) v; the heads are merged back to
+    (B, Pq, W).  The backward pass applies the softmax rule
+    dS = P * (dP - rowsum(dP * P)) to the weights P.
+    """
+    tq, tk, tv = as_tensor(q), as_tensor(k), as_tensor(v)
+    if tq.ndim != 3 or tk.ndim != 3 or tk.shape != tv.shape or tk.shape[::2] != tq.shape[::2]:
+        raise ShapeError(f"attention expects (B,Pq,W) queries and (B,Pk,W) keys and values, "
+                         f"got {tq.shape}/{tk.shape}/{tv.shape}")
+    bq, pq, width = tq.shape
+    if n_heads < 1 or width % n_heads:
+        raise ShapeError(f"width {width} not divisible by {n_heads} heads")
+    dk = width // n_heads
+    scale = 1.0 / np.sqrt(dk)
+
+    def split(t):
+        return t.data.reshape(t.shape[0], t.shape[1], n_heads, dk).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(tq), split(tk), split(tv)
+    scores = _ensure_finite((qh @ kh.transpose(0, 1, 3, 2)) * scale, "attention")
+    e = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights = e / e.sum(axis=3, keepdims=True)               # (B, H, Pq, Pk)
+    merged = (weights @ vh).transpose(0, 2, 1, 3).reshape(bq, pq, width)
+    out = _wrap(_ensure_finite(merged, "attention"))
+
+    def pull(g):
+        gh = g.reshape(bq, pq, n_heads, dk).transpose(0, 2, 1, 3)
+        gw = gh @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(weights, -1, -2) @ gh
+        gs = weights * (gw - (gw * weights).sum(axis=3, keepdims=True)) * scale
+        gq = gs @ kh
+        gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2)
+        return tuple(gt.transpose(0, 2, 1, 3).reshape(t.shape)
+                     for gt, t in ((gq, tq), (gk, tk), (gv, tv)))
+
+    return _record(out, (tq, tk, tv), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -462,22 +501,6 @@ def l2norm(x, axis: int) -> Tensor:
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(norm_e > 0.0, tx.data / np.where(norm_e == 0.0, 1.0, norm_e), 0.0)
         return (g_e * frac,)
-
-    return _record(out, (tx,), pull)
-
-
-def softmax(x, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis (max-subtracted)."""
-    tx = as_tensor(x)
-    ax = _normalized_axis(axis, tx.ndim)
-    shifted = tx.data - tx.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=ax, keepdims=True)
-    out = _wrap(data)
-
-    def pull(g):
-        inner = (g * data).sum(axis=ax, keepdims=True)
-        return (data * (g - inner),)
 
     return _record(out, (tx,), pull)
 

@@ -10,9 +10,9 @@ Two routes run in parallel and are joined at the end:
   gate driven by pooled statistics and a position gate driven by
   cross-channel statistics, pooled to a single vector per subject.
 
-Latents arrive channel-first as (batch, dim, cells); attention operates on
-(batch, patch, feature) blocks built from 2x2x2 neighborhoods of the
-latent grid.
+Latents arrive channel-first as (batch, dim, cells); attention runs on
+(batch, patch, feature) tokens built from 2x2x2 neighborhoods of the
+latent grid, as one multi-head ``ad.attention`` record per direction.
 """
 
 from __future__ import annotations
@@ -146,49 +146,24 @@ def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig,
     cells = ad.reshape(cells, (b, nb, ps, nb, ps, nb, ps, d))
     cells = ad.transpose(cells, (0, 1, 3, 5, 2, 4, 6, 7))
     tokens = ad.reshape(cells, (b, nb * nb * nb, ps * ps * ps * d))
-    embed = tokens @ params[f"patch_w_{modality}"] + params[f"patch_b_{modality}"]
+    embed = ad.linear(tokens, params[f"patch_w_{modality}"], params[f"patch_b_{modality}"])
     return embed + ad.Tensor(positional_encoding(nb * nb * nb, cfg.d_model))
-
-
-def scaled_dot_attention(q, k, v, n_heads: int = 1):
-    """Softmax attention; returns (output, weights).
-
-    q, k, v are (B, P, n_heads*d_k).  Heads are split off, attended
-    independently and re-concatenated; weights come back as (B, H, P, P).
-    """
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    if q.ndim != 3 or k.shape != v.shape or q.shape[2] != k.shape[2]:
-        raise ShapeError(f"attention expects matching (B,P,W) inputs, got {q.shape}/{k.shape}/{v.shape}")
-    width = q.shape[2]
-    if width % n_heads:
-        raise ShapeError(f"width {width} not divisible by {n_heads} heads")
-    dk = width // n_heads
-
-    def split(t):
-        bt, pt = t.shape[0], t.shape[1]
-        return ad.transpose(ad.reshape(t, (bt, pt, n_heads, dk)), (0, 2, 1, 3))
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ ad.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(dk))
-    weights = ad.softmax(scores, axis=3)
-    out = weights @ vh                                        # (B, H, Pq, dk)
-    out = ad.transpose(out, (0, 2, 1, 3))
-    out = ad.reshape(out, (q.shape[0], q.shape[1], width))
-    return out, weights
 
 
 def cross_attention(src_embed, tgt_embed, params: dict, src: str, tgt: str,
                     cfg: FusionConfig):
     """One direction of patch cross-attention.
 
-    Queries come from src, keys/values from tgt; the attended stream is
-    projected back to d_model.  Returns (projected, query, key).
+    Queries come from src, keys/values from tgt, each a bias-free
+    projection to n_heads*d_k; ``ad.attention`` attends per head and merges
+    the heads, and the attended stream is projected back to d_model.
+    Returns (projected, query, key).
     """
-    q = src_embed @ params[f"wq_{src}"]
-    k = tgt_embed @ params[f"wk_{tgt}"]
-    v = tgt_embed @ params[f"wv_{tgt}"]
-    attended, _ = scaled_dot_attention(q, k, v, cfg.n_heads)
-    return attended @ params[f"out_{src}2{tgt}_w"], q, k
+    q = ad.linear(src_embed, params[f"wq_{src}"])
+    k = ad.linear(tgt_embed, params[f"wk_{tgt}"])
+    v = ad.linear(tgt_embed, params[f"wv_{tgt}"])
+    attended = ad.attention(q, k, v, cfg.n_heads)
+    return ad.linear(attended, params[f"out_{src}2{tgt}_w"]), q, k
 
 
 def discrete_fusion(z_ct, z_pet, params: dict, enc: EncoderConfig, cfg: FusionConfig) -> DiscretePathOutput:
@@ -245,8 +220,8 @@ def continuous_attention(z_ct, z_pet, params: dict) -> ad.Tensor:
     b, c = x.shape[0], x.shape[1]
 
     def channel_net(pooled):
-        h = ad.relu(pooled @ params["chan_w1"] + params["chan_b1"])
-        return h @ params["chan_w2"] + params["chan_b2"]
+        h = ad.relu(ad.linear(pooled, params["chan_w1"], params["chan_b1"]))
+        return ad.linear(h, params["chan_w2"], params["chan_b2"])
 
     gate_c = ad.sigmoid(channel_net(x.mean(axis=2)) + channel_net(x.max(axis=2)))
     x = x * ad.reshape(gate_c, (b, c, 1))
@@ -255,7 +230,7 @@ def continuous_attention(z_ct, z_pet, params: dict) -> ad.Tensor:
         [ad.reshape(x.mean(axis=1), (b, -1, 1)), ad.reshape(x.max(axis=1), (b, -1, 1))],
         axis=2,
     )                                                         # (B, G, 2)
-    gate_s = ad.sigmoid(stats @ params["spat_w"] + params["spat_b"])
+    gate_s = ad.sigmoid(ad.linear(stats, params["spat_w"], params["spat_b"]))
     flat = ad.transpose(x, (0, 2, 1)) * gate_s                # (B, G, 2D)
     return flat.mean(axis=1)
 
@@ -264,4 +239,4 @@ def fuse_final(f_discrete, f_continuous, params: dict) -> ad.Tensor:
     """Join the two routes into one subject-level feature vector."""
     pooled = ad.as_tensor(f_discrete).mean(axis=1)            # (B, d_model)
     joined = ad.concat([pooled, ad.as_tensor(f_continuous)], axis=1)
-    return ad.relu(joined @ params["fuse_w"] + params["fuse_b"])
+    return ad.relu(ad.linear(joined, params["fuse_w"], params["fuse_b"]))

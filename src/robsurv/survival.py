@@ -65,8 +65,8 @@ def hazard_forward(features, params: dict, n_bins: int, n_risks: int) -> HazardG
     x = ad.as_tensor(features)
     if x.ndim != 2:
         raise ShapeError(f"features must be (B, d), got {x.shape}")
-    hidden = ad.relu(x @ params["head_w1"] + params["head_b1"])
-    logits = hidden @ params["head_w2"] + params["head_b2"]
+    hidden = ad.relu(ad.linear(x, params["head_w1"], params["head_b1"]))
+    logits = ad.linear(hidden, params["head_w2"], params["head_b2"])
     if logits.shape[1] != n_bins * n_risks:
         raise ShapeError(
             f"head produces {logits.shape[1]} outputs, grid wants {n_bins}x{n_risks}"

@@ -18,10 +18,12 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, IncompatibleInputError
+from .fileio import atomic_bytes, atomic_text, ensure_dir
 
 CT_SIGMA_CHOICES = (0.0, 0.01, 0.05, 0.1)
 PET_LEVELS = ("low", "medium", "high")
@@ -240,8 +242,6 @@ def cohort_manifest(cohort: SyntheticCohort) -> dict:
 
 
 def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
-    from .fileio import atomic_bytes, atomic_text, ensure_dir
-
     out_dir = ensure_dir(out_dir)
     for row, pid in enumerate(cohort.patient_ids):
         atomic_bytes(out_dir / f"{int(pid)}_ct.f32", cohort.ct[row].astype("<f4").tobytes())
@@ -262,17 +262,20 @@ def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
 def load_cohort(data_dir) -> SyntheticCohort:
     """Read a cohort written by ``save_cohort``.  A missing, truncated or
     inconsistent file raises ``DataFormatError``: besides unparseable fields,
-    that covers a repeated patient id, a time bin below 1, an event code
-    outside 0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
+    that covers a manifest ``format_version`` other than ``FORMAT_VERSION``,
+    a repeated patient id, a time bin below 1, an event code outside
+    0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
     """
-    from pathlib import Path
-
     data_dir = Path(data_dir)
     manifest_path = data_dir / "manifest.json"
     if not manifest_path.is_file():
         raise DataFormatError(f"no manifest.json in {data_dir}")
     try:
         manifest = json.loads(manifest_path.read_text())
+        version = manifest["format_version"]
+        if type(version) is not int or version != FORMAT_VERSION:  # JSON true == 1 in Python
+            raise DataFormatError(f"cohort format {version!r}, "
+                                  f"but only format {FORMAT_VERSION} can be read")
         info = manifest["cohort"]
         side = int(info["volume_side"])
         config = CohortConfig(

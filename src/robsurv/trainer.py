@@ -223,6 +223,9 @@ class SurvivalModel:
         self.bin_edges = np.asarray(bin_edges, dtype=float)
         if self.bin_edges.shape != (config.n_bins - 1,):
             raise ConfigError(f"expected {config.n_bins - 1} bin edges, got {self.bin_edges.shape}")
+        # a NaN edge would silently put every time in the first bin (times > nan is False)
+        if not (np.isfinite(self.bin_edges).all() and (np.diff(self.bin_edges) >= 0).all()):
+            raise ConfigError("bin edges must be finite and non-decreasing")
         self._scopes: dict[str, dict] = {}
 
     @classmethod

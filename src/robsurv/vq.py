@@ -121,8 +121,8 @@ def param_specs(cfg: EncoderConfig) -> dict[str, tuple]:
 
 
 def _residual_mlp(h: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    inner = ad.relu(h @ params[f"{prefix}_w1"] + params[f"{prefix}_b1"])
-    return h + (inner @ params[f"{prefix}_w2"] + params[f"{prefix}_b2"])
+    inner = ad.relu(ad.linear(h, params[f"{prefix}_w1"], params[f"{prefix}_b1"]))
+    return h + ad.linear(inner, params[f"{prefix}_w2"], params[f"{prefix}_b2"])
 
 
 def encode(volume, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
@@ -139,7 +139,7 @@ def encode(volume, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     x = v.reshape((b, g, bs, g, bs, g, bs))
     x = x.transpose((0, 1, 3, 5, 2, 4, 6))
     x = x.reshape((b, cfg.grid_voxels, cfg.block_voxels))
-    h = x @ params["enc_in_w"] + params["enc_in_b"]
+    h = ad.linear(x, params["enc_in_w"], params["enc_in_b"])
     h = _residual_mlp(h, params, "enc_res")
     return h.transpose((0, 2, 1))
 
@@ -155,7 +155,7 @@ def decode(z, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     g, bs = cfg.latent_grid, cfg.block_side
     h = t.transpose((0, 2, 1))
     h = _residual_mlp(h, params, "dec_res")
-    x = h @ params["dec_out_w"] + params["dec_out_b"]
+    x = ad.linear(h, params["dec_out_w"], params["dec_out_b"])
     x = x.reshape((b, g, g, g, bs, bs, bs))
     x = x.transpose((0, 1, 4, 2, 5, 3, 6))
     return x.reshape((b, cfg.n_voxels))

@@ -39,7 +39,8 @@ def test_init_params_draws_in_table_order():
 def test_matmul_identity():
     m = ad.Tensor(np.arange(9.0).reshape(3, 3))
     eye = ad.Tensor(np.eye(3))
-    assert np.array_equal((m @ eye).data, m.data)
+    assert np.array_equal(ad.linear(m, eye).data, m.data)
+    assert np.array_equal(ad.linear(m, eye, ad.Tensor([1.0, 2.0, 3.0])).data, m.data + [1.0, 2.0, 3.0])
 
 
 def test_sigmoid_at_zero():
@@ -51,20 +52,27 @@ def test_l2norm_full_reduction():
     assert ad.l2norm(ad.Tensor([3.0, 4.0]), axis=0).item() == 5.0
 
 
+def _softmax_of(scores):
+    """softmax(scores) computed by ``ad.attention``: one query against keys
+    ``sqrt(n) * I`` gives the scores back, and values ``I`` read out the weights."""
+    n = len(scores)
+    query = ad.Tensor(np.reshape(scores, (1, 1, n)))
+    keys = ad.Tensor(np.sqrt(n) * np.eye(n)[None])
+    return ad.attention(query, keys, ad.Tensor(np.eye(n)[None]), 1).data.reshape(n)
+
+
 def test_softmax_values():
-    out = ad.softmax(ad.Tensor([0.0, 0.0]), axis=0)
-    assert np.allclose(out.data, [0.5, 0.5], atol=1e-15)
-    big = ad.softmax(ad.Tensor([1000.0, 0.0]), axis=0)
-    assert np.allclose(big.data, [1.0, 0.0])
-    assert np.all(np.isfinite(big.data))
+    assert np.allclose(_softmax_of([0.0, 0.0]), [0.5, 0.5], atol=1e-15)
+    big = _softmax_of([1000.0, 0.0])
+    assert np.allclose(big, [1.0, 0.0])
+    assert np.all(np.isfinite(big))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-30, 30), min_size=2, max_size=6), st.floats(-5, 5))
 def test_softmax_shift_invariance_and_sum(values, shift):
-    x = ad.Tensor(values)
-    base = ad.softmax(x, axis=0).data
-    shifted = ad.softmax(ad.Tensor(np.asarray(values) + shift), axis=0).data
+    base = _softmax_of(values)
+    shifted = _softmax_of(np.asarray(values) + shift)
     assert abs(base.sum() - 1.0) <= 1e-12
     assert np.all(np.abs(base - shifted) <= 1e-12)
     ad.reset_graph()
@@ -134,7 +142,11 @@ def test_mismatched_shapes_rejected():
     with pytest.raises(ShapeError):
         ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
     with pytest.raises(ShapeError):
-        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((4, 2))))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((1, 2))))
+    with pytest.raises(ShapeError):
+        ad.linear(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 4, 2))))
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +248,14 @@ PRIMITIVE_CASES = {
     "mul": lambda r: _binary_case(r, ad.mul),
     "mul_gate": lambda r: _gate_case(r),
     "div": lambda r: _div_case(r),
-    "matmul": lambda r: _matmul_case(r),
-    "matmul_batched": lambda r: _matmul_batched_case(r),
+    # a bias-free linear is a plain matmul
+    "matmul": lambda r: _linear_case(r, (3, 4), bias=False),
+    "matmul_batched": lambda r: _linear_case(r, (2, 3, 4), bias=False),
+    "linear": lambda r: _linear_case(r, (3, 4), bias=True),
+    "linear_batched": lambda r: _linear_case(r, (2, 3, 4), bias=True),
+    "attention": lambda r: _attention_case(r, 1),
+    "attention_heads2": lambda r: _attention_case(r, 2),
+    "softmax": lambda r: _softmax_case(r),
     "exp": lambda r: _unary_case(r, ad.exp, scale=0.5),
     "log": lambda r: _log_case(r),
     "sigmoid": lambda r: _unary_case(r, ad.sigmoid),
@@ -249,7 +267,6 @@ PRIMITIVE_CASES = {
     "max_all": lambda r: _reduce_case(r, lambda x: _flat(x).max(axis=0) * _flat(x).max(axis=0)),
     "l2norm_full": lambda r: _reduce_case(r, lambda x: ad.l2norm(_flat(x), axis=0)),
     "l2norm_axis": lambda r: _reduce_case(r, lambda x: ad.l2norm(x, axis=1).sum()),
-    "softmax": lambda r: _softmax_case(r),
     "concat": lambda r: _concat_case(r),
     "reshape_transpose": lambda r: _reshape_case(r),
     "slice": lambda r: _slice_case(r),
@@ -292,15 +309,17 @@ def _div_case(r):
     return (lambda: (a / b).sum()), [a, b]
 
 
-def _matmul_case(r):
-    a, b = _leaf(r, (3, 4)), _leaf(r, (4, 2))
-    return (lambda: ((a @ b) * (a @ b)).sum()), [a, b]
+def _linear_case(r, x_shape, bias):
+    x, w = _leaf(r, x_shape), _leaf(r, (4, 2))
+    leaves = [x, w] + ([_leaf(r, (2,))] if bias else [])
+    return (lambda: (ad.linear(*leaves) * ad.linear(*leaves)).sum()), leaves
 
 
-def _matmul_batched_case(r):
-    a, w = _leaf(r, (2, 3, 4)), _leaf(r, (4, 2))
-    b = _leaf(r, (2, 2, 3))
-    return (lambda: (b @ (a @ w)).sum()), [a, w, b]
+def _attention_case(r, n_heads):
+    # fewer queries than keys, so a transposed operand cannot pass unnoticed
+    q, k, v = _leaf(r, (2, 3, 4)), _leaf(r, (2, 5, 4)), _leaf(r, (2, 5, 4))
+    w = ad.Tensor(r.normal(size=(2, 3, 4)))
+    return (lambda: (ad.attention(q, k, v, n_heads) * w).sum()), [q, k, v]
 
 
 def _unary_case(r, op, scale=1.0):
@@ -319,9 +338,11 @@ def _reduce_case(r, fn):
 
 
 def _softmax_case(r):
-    x = _leaf(r, (2, 5))
-    w = _leaf(r, (2, 5))
-    return (lambda: (ad.softmax(x, axis=1) * w).sum()), [x, w]
+    # values I make the attention output its softmax weights (see _softmax_of)
+    q, k = _leaf(r, (2, 3, 5)), _leaf(r, (2, 5, 5))
+    eye = ad.Tensor(np.tile(np.eye(5), (2, 1, 1)))
+    w = ad.Tensor(r.normal(size=(2, 3, 5)))
+    return (lambda: (ad.attention(q, k, eye, 1) * w).sum()), [q, k]
 
 
 def _concat_case(r):
@@ -371,6 +392,45 @@ def test_primitive_gradients(name, seed):
     check_gradients(build, leaves)
 
 
+# names in ad.__all__ that are not differentiable primitives (constructors and
+# graph helpers), or whose declared Jacobian is deliberately not the derivative
+# of their forward map
+NOT_FD_CHECKED = {
+    "Tensor", "as_tensor", "linear_spec", "init_params",
+    "active_graph", "reset_graph", "no_grad", "backward",
+    "detach", "straight_through", "clip_passthrough",
+}
+
+
+def test_every_primitive_has_a_gradient_case(monkeypatch):
+    """Each differentiable name in ad.__all__ runs inside some PRIMITIVE_CASES
+    build, so a new primitive cannot land without a finite-difference check."""
+    assert NOT_FD_CHECKED <= set(ad.__all__)
+    primitives = set(ad.__all__) - NOT_FD_CHECKED
+    called = set()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # Tensor methods and operators look the primitives up in the module, so they are spied too
+    for name in primitives:
+        monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
+    for case in PRIMITIVE_CASES.values():
+        build, _ = case(np.random.default_rng(0))
+        build()
+    ad.reset_graph()
+    assert sorted(primitives - called) == []
+
+
+def _self_attention(t):
+    # one tensor as queries, keys and values: its three adjoints must add up
+    t3 = ad.reshape(t, (1,) + t.shape)
+    return ad.reshape(ad.attention(t3, t3, t3, 1), t.shape)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_random_composite_gradients(seed):
     """Random compositions of up to six primitives, checked against FD."""
@@ -382,8 +442,8 @@ def test_random_composite_gradients(seed):
         lambda t: t + 0.5,
         lambda t: t * t,
         lambda t: ad.relu(t),
-        lambda t: ad.softmax(t, axis=1),
-        lambda t: t @ w,
+        lambda t: _self_attention(t),
+        lambda t: ad.linear(t, w),
     ]
     picks = r.integers(0, len(ops), size=int(r.integers(2, 7)))
 

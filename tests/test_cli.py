@@ -315,6 +315,9 @@ MODEL_EDITS = {
     "negative-lr": lambda p: p["config"].__setitem__("lr", -1),
     "missing-field": lambda p: p["config"].pop("epochs"),
     "encoder-not-object": lambda p: p["config"].__setitem__("encoder", 5),
+    # the checksum covers only the parameters; a NaN edge would re-bin every outcome
+    "bin-edges-nan": lambda p: p["bin_edges"].__setitem__(0, float("nan")),
+    "bin-edges-decreasing": lambda p: p["bin_edges"].reverse(),
 }
 
 
@@ -493,6 +496,10 @@ FAULTS = {
     "manifest-truncate": lambda d, m: _truncate(d / "manifest.json"),
     "manifest-field": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p["cohort"].__setitem__("n", 99)),
+    "manifest-version": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p.__setitem__("format_version", 2)),
+    "manifest-version-bool": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p.__setitem__("format_version", True)),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
     "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
     "outcomes-duplicate-id": lambda d, m: _set_outcome(

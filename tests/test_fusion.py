@@ -61,29 +61,44 @@ def test_positional_table():
 # attention primitive
 
 
+def attention_weights(q, k, n_heads):
+    """Weights (B, H, Pq, Pk) of ``ad.attention``, read through v = I.
+
+    With one Pk x Pk identity block per head as the values, each head's
+    output rows are its weight rows; q and k must be n_heads * Pk wide.
+    """
+    b, pk, _ = k.shape
+    eye = ad.Tensor(np.tile(np.eye(pk), (b, 1, n_heads)))
+    out = ad.attention(q, k, eye, n_heads).data
+    return out.reshape(b, q.shape[1], n_heads, pk).transpose(0, 2, 1, 3)
+
+
 def test_attention_weights_are_distributions():
     rng = np.random.default_rng(1)
-    q = ad.Tensor(rng.normal(size=(2, 5, 8)))
-    k = ad.Tensor(rng.normal(size=(2, 5, 8)))
-    v = ad.Tensor(rng.normal(size=(2, 5, 8)))
-    out, w = fusion.scaled_dot_attention(q, k, v, n_heads=2)
-    assert out.shape == (2, 5, 8)
+    q = ad.Tensor(rng.normal(size=(2, 5, 10)))
+    k = ad.Tensor(rng.normal(size=(2, 5, 10)))
+    v = ad.Tensor(rng.normal(size=(2, 5, 10)))
+    assert ad.attention(q, k, v, 2).shape == (2, 5, 10)
+    w = attention_weights(q, k, 2)
     assert w.shape == (2, 2, 5, 5)
-    np.testing.assert_allclose(w.data.sum(axis=3), 1.0, atol=1e-12)
-    assert np.all(w.data > 0)
+    np.testing.assert_allclose(w.sum(axis=3), 1.0, atol=1e-12)
+    assert np.all(w > 0)
 
 
 def test_attention_two_token_worked_example():
     q = ad.Tensor(np.array([[[1.0], [0.0]]]))
     k = ad.Tensor(np.array([[[1.0], [0.0]]]))
     v = ad.Tensor(np.array([[[2.0], [4.0]]]))
-    out, w = fusion.scaled_dot_attention(q, k, v)
+    out = ad.attention(q, k, v, 1)
     e = np.e
     expected0 = (2.0 * e + 4.0) / (e + 1.0)
     assert out.data[0, 0, 0] == pytest.approx(expected0, rel=1e-12)
     assert out.data[0, 0, 0] == pytest.approx(2.5379, abs=5e-5)
     assert out.data[0, 1, 0] == pytest.approx(3.0, rel=1e-12)
-    np.testing.assert_allclose(w.data[0, 0, 0], [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
+    # the same scores at width 2: the sqrt(2) on the key undoes the 1/sqrt(d_k) scale
+    w = attention_weights(ad.Tensor(np.array([[[1.0, 0.0], [0.0, 0.0]]])),
+                          ad.Tensor(np.array([[[np.sqrt(2.0), 0.0], [0.0, 0.0]]])), 1)
+    np.testing.assert_allclose(w[0, 0, 0], [e / (e + 1), 1 / (e + 1)], rtol=1e-12)
 
 
 def test_attention_single_key_returns_value_exactly():
@@ -91,8 +106,8 @@ def test_attention_single_key_returns_value_exactly():
     q = ad.Tensor(rng.normal(size=(2, 1, 4)))
     k = ad.Tensor(rng.normal(size=(2, 1, 4)))
     v = ad.Tensor(rng.normal(size=(2, 1, 4)))
-    out, w = fusion.scaled_dot_attention(q, k, v)
-    assert np.all(w.data == 1.0)
+    out = ad.attention(q, k, v, 1)
+    assert np.all(attention_weights(ad.Tensor(q.data[:, :, :1]), ad.Tensor(k.data[:, :, :1]), 1) == 1.0)
     np.testing.assert_allclose(out.data, v.data, rtol=0, atol=0)
 
 
@@ -102,7 +117,7 @@ def test_attention_identical_queries_identical_rows():
     q = ad.Tensor(np.tile(q_row, (1, 5, 1)))
     k = ad.Tensor(rng.normal(size=(1, 5, 4)))
     v = ad.Tensor(rng.normal(size=(1, 5, 4)))
-    out, _ = fusion.scaled_dot_attention(q, k, v)
+    out = ad.attention(q, k, v, 1)
     for row in out.data[0]:
         np.testing.assert_allclose(row, out.data[0, 0], atol=1e-14)
 
@@ -113,8 +128,8 @@ def test_attention_query_permutation_equivariance():
     k = ad.Tensor(rng.normal(size=(1, 6, 4)))
     v = ad.Tensor(rng.normal(size=(1, 6, 4)))
     perm = rng.permutation(6)
-    base, _ = fusion.scaled_dot_attention(q, k, v)
-    shuffled, _ = fusion.scaled_dot_attention(ad.Tensor(q.data[:, perm]), k, v)
+    base = ad.attention(q, k, v, 1)
+    shuffled = ad.attention(ad.Tensor(q.data[:, perm]), k, v, 1)
     np.testing.assert_allclose(shuffled.data, base.data[:, perm], atol=1e-12)
 
 
@@ -124,18 +139,22 @@ def test_attention_key_value_permutation_invariance():
     k = ad.Tensor(rng.normal(size=(1, 6, 4)))
     v = ad.Tensor(rng.normal(size=(1, 6, 4)))
     perm = rng.permutation(6)
-    base, _ = fusion.scaled_dot_attention(q, k, v)
-    shuffled, _ = fusion.scaled_dot_attention(q, ad.Tensor(k.data[:, perm]), ad.Tensor(v.data[:, perm]))
+    base = ad.attention(q, k, v, 1)
+    shuffled = ad.attention(q, ad.Tensor(k.data[:, perm]), ad.Tensor(v.data[:, perm]), 1)
     np.testing.assert_allclose(shuffled.data, base.data, atol=1e-12)
 
 
 def test_attention_shape_errors():
-    with pytest.raises(ShapeError):
-        fusion.scaled_dot_attention(ad.Tensor(np.zeros((1, 2, 3))), ad.Tensor(np.zeros((1, 2, 4))),
-                                    ad.Tensor(np.zeros((1, 2, 4))))
-    with pytest.raises(ShapeError):
-        fusion.scaled_dot_attention(ad.Tensor(np.zeros((1, 2, 3))), ad.Tensor(np.zeros((1, 2, 3))),
-                                    ad.Tensor(np.zeros((1, 2, 3))), n_heads=2)
+    cases = [
+        (((1, 2, 3), (1, 2, 4), (1, 2, 4)), 1),   # query width differs from key width
+        (((1, 2, 3), (1, 2, 3), (1, 2, 3)), 2),   # width not divisible by the heads
+        (((1, 2, 4), (2, 2, 4), (2, 2, 4)), 1),   # batch sizes differ
+        (((1, 2, 4), (1, 3, 4), (1, 2, 4)), 1),   # keys and values differ
+        (((2, 4), (2, 4), (2, 4)), 1),            # rank 2
+    ]
+    for shapes, n_heads in cases:
+        with pytest.raises(ShapeError):
+            ad.attention(*(ad.Tensor(np.zeros(s)) for s in shapes), n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +234,8 @@ def test_symmetric_inputs_symmetric_params():
     out = fusion.discrete_fusion(z, ad.Tensor(z.data.copy()), params, ENC, CFG)
     (a_ct, q_ct, k_pet), (a_pet, q_pet, k_ct) = attended(out, params)
     np.testing.assert_allclose(a_ct.data, a_pet.data, atol=1e-12)
-    _, w_ct = fusion.scaled_dot_attention(q_ct, k_pet, k_pet, CFG.n_heads)
-    _, w_pet = fusion.scaled_dot_attention(q_pet, k_ct, k_ct, CFG.n_heads)
-    np.testing.assert_allclose(w_ct.data, w_pet.data, atol=1e-12)
+    np.testing.assert_allclose(ad.attention(q_ct, k_pet, k_pet, CFG.n_heads).data,
+                               ad.attention(q_pet, k_ct, k_ct, CFG.n_heads).data, atol=1e-12)
 
 
 def test_direction_swap_mirrors_attended_streams():
