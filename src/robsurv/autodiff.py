@@ -3,11 +3,15 @@
 A flat, execution-ordered tape of primitive records is kept per thread
 as a plain list (`active_graph`); each record is ``(output, inputs,
 pull)``, where ``pull`` maps the output adjoint to one gradient array (or
-None) per input.  `backward` walks the tape once in reverse and accumulates
-adjoints into per-tensor ``grad`` buffers, so data-dependent structure
-(nearest-codebook selection, per-bin masks) is differentiated exactly as
-executed.  Calling `backward` again on an intact tape first clears every
-grad it is about to touch and therefore reproduces identical results.
+None) per input.  The pulls of add, sub, mul, div and linear, the
+primitives that take constant operands (masks, the positional table, input
+volumes), skip every operand without ``requires_grad``: they return None
+for it and never compute its gradient.  `backward` walks the tape once in
+reverse and accumulates adjoints into per-tensor ``grad`` buffers, so
+data-dependent structure (nearest-codebook selection, per-bin masks) is
+differentiated exactly as executed.  Calling `backward` again on an intact
+tape first clears every grad it is about to touch and therefore reproduces
+identical results.
 
 Rules kept deliberately narrow:
 
@@ -28,7 +32,8 @@ Rules kept deliberately narrow:
   ``attention`` takes (B, Pq, W) queries and (B, Pk, W) keys and values,
   W divisible by the head count.  Neither broadcasts.
 * ``max`` and ``l2norm`` reduce along one given axis; ``transpose`` takes
-  an explicit permutation.
+  an explicit permutation.  ``rearrange(x, shape_in, perm, shape_out)``
+  records a reshape -> transpose -> reshape chain once.
 * ``detach``, ``straight_through`` and ``clip_passthrough`` are the only
   primitives whose declared Jacobian differs from the true local
   derivative of their forward map; everything else is checkable against
@@ -43,7 +48,7 @@ from __future__ import annotations
 import functools
 import threading
 from contextlib import contextmanager
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,42 +59,43 @@ __all__ = [
     "as_tensor", "linear_spec", "init_params",
     "add", "sub", "mul", "div", "linear", "attention",
     "exp", "log", "sigmoid", "relu", "l2norm",
-    "cumsum", "cumprod", "concat", "reshape", "transpose", "slice_along", "take_rows",
+    "cumsum", "cumprod", "concat", "reshape", "transpose", "rearrange", "slice_along",
+    "take_rows",
     "detach", "straight_through", "clip_passthrough",
 ]
 
 
+class _ThreadState(threading.local):
+    """Per-thread tape and recording switch; ``__init__`` runs once per thread."""
+
+    def __init__(self):
+        self.graph: list[tuple] = []
+        self.grad_enabled = True
+
+
 # graph state is per-thread so read-only inference can run concurrently
-_STATE = threading.local()
-
-
-def _state() -> threading.local:
-    if not hasattr(_STATE, "graph"):
-        _STATE.graph = []
-        _STATE.grad_enabled = True
-    return _STATE
+_STATE = _ThreadState()
 
 
 def active_graph() -> list[tuple]:
     """This thread's tape, in execution order."""
-    return _state().graph
+    return _STATE.graph
 
 
 def reset_graph() -> None:
     """Drop every recorded operation (start of a fresh training step)."""
-    _state().graph.clear()
+    _STATE.graph.clear()
 
 
 @contextmanager
 def no_grad():
     """Suspend tape recording; values are computed, gradients are not."""
-    st = _state()
-    previous = st.grad_enabled
-    st.grad_enabled = False
+    previous = _STATE.grad_enabled
+    _STATE.grad_enabled = False
     try:
         yield
     finally:
-        st.grad_enabled = previous
+        _STATE.grad_enabled = previous
 
 
 class Tensor:
@@ -183,15 +189,18 @@ def as_tensor(value) -> Tensor:
 
 
 def _record(out: Tensor, inputs: tuple, pull) -> Tensor:
-    st = _state()
-    if st.grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        st.graph.append((out, inputs, pull))
+    st = _STATE
+    if st.grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                st.graph.append((out, inputs, pull))
+                break
     return out
 
 
 def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericsError(f"{op} produced a non-finite value")
     return arr
 
@@ -258,6 +267,8 @@ def _broadcast_shape(sa: tuple, sb: tuple, op: str) -> tuple[int, ...]:
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Reduce a broadcast gradient back to the operand's shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -270,17 +281,26 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # binary elementwise primitives
 
-def _binary(op: str, a, b, fwd, grads) -> Tensor:
-    """Record ``fwd(a, b)``; ``grads(g, x, y)`` gives both unreduced operand gradients."""
-    ta, tb = as_tensor(a), as_tensor(b)
-    _broadcast_shape(ta.shape, tb.shape, op)
+def _binary(op: str, a, b, fwd, grad_a, grad_b) -> Tensor:
+    """Record ``fwd(a, b)``; ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` give the
+    unreduced operand gradients, each computed only for an operand that needs it."""
+    if type(a) is Tensor and type(b) is Tensor and a.data.shape == b.data.shape:
+        ta, tb = a, b  # equal shapes always broadcast
+    else:
+        ta, tb = as_tensor(a), as_tensor(b)
+        _broadcast_shape(ta.shape, tb.shape, op)
     out = _wrap(_ensure_finite(fwd(ta.data, tb.data), op))
 
     def pull(g):
-        ga, gb = grads(g, ta.data, tb.data)
-        return _sum_to(ga, ta.shape), _sum_to(gb, tb.shape)
+        x, y = ta.data, tb.data
+        return (_sum_to(grad_a(g, x, y), x.shape) if ta.requires_grad else None,
+                _sum_to(grad_b(g, x, y), y.shape) if tb.requires_grad else None)
 
     return _record(out, (ta, tb), pull)
+
+
+def _pass(g, x, y):
+    return g
 
 
 def _divide(x, y):
@@ -289,19 +309,19 @@ def _divide(x, y):
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda g, x, y: (g, g))
+    return _binary("add", a, b, np.add, _pass, _pass)
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda g, x, y: (g, -g))
+    return _binary("sub", a, b, np.subtract, _pass, lambda g, x, y: -g)
 
 
 def mul(a, b) -> Tensor:
-    return _binary("mul", a, b, np.multiply, lambda g, x, y: (g * y, g * x))
+    return _binary("mul", a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
 def div(a, b) -> Tensor:
-    return _binary("div", a, b, _divide, lambda g, x, y: (g / y, -g * x / (y * y)))
+    return _binary("div", a, b, _divide, lambda g, x, y: g / y, lambda g, x, y: -g * x / (y * y))
 
 
 def linear(x, w, b=None) -> Tensor:
@@ -320,10 +340,14 @@ def linear(x, w, b=None) -> Tensor:
     out = _wrap(_ensure_finite(data, "linear"))
 
     def pull(g):
-        gx = g @ tw.data.T
-        # fold the batch axes into rows: one product, no (B, in, out) stack to sum
-        gw = tx.data.reshape(-1, tx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-        return (gx, gw) if b is None else (gx, gw, _sum_to(g, tb.shape))
+        gx = g @ tw.data.T if tx.requires_grad else None
+        gw = None
+        if tw.requires_grad:
+            # fold the batch axes into rows: one product, no (B, in, out) stack to sum
+            gw = tx.data.reshape(-1, tx.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        if b is None:
+            return gx, gw
+        return gx, gw, _sum_to(g, tb.shape) if tb.requires_grad else None
 
     return _record(out, inputs, pull)
 
@@ -458,8 +482,9 @@ def _reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
     tx = as_tensor(x)
     if axis is not None:
         axis = _normalized_axis(axis, tx.ndim)
-    data = tx.data.mean(axis=axis, keepdims=keepdims)
     count = tx.size if axis is None else tx.shape[axis]
+    # what ndarray.mean computes for float64: a pairwise sum, then one division
+    data = np.add.reduce(tx.data, axis=axis, keepdims=keepdims) / count
     out = _wrap(np.asarray(data))
 
     def pull(g):
@@ -561,11 +586,13 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
             raise ShapeError("concat operands differ off the concat axis")
     data = np.concatenate([t.data for t in ts], axis=ax)
     out = _wrap(data)
-    sizes = [t.shape[ax] for t in ts]
-    offsets = np.cumsum(sizes)[:-1]
+    pieces, start = [], 0
+    for t in ts:
+        pieces.append((slice(None),) * ax + (slice(start, start + t.shape[ax]),))
+        start += t.shape[ax]
 
     def pull(g):
-        return tuple(piece for piece in np.split(g, offsets, axis=ax))
+        return tuple(g[piece] for piece in pieces)
 
     return _record(out, tuple(ts), pull)
 
@@ -584,6 +611,13 @@ def reshape(x, shape) -> Tensor:
     return _record(out, (tx,), pull)
 
 
+def _inverse_permutation(axes: tuple) -> tuple:
+    inverse = [0] * len(axes)
+    for i, a in enumerate(axes):
+        inverse[a] = i
+    return tuple(inverse)
+
+
 def transpose(x, axes) -> Tensor:
     tx = as_tensor(x)
     axes = tuple(int(a) for a in axes)
@@ -591,10 +625,31 @@ def transpose(x, axes) -> Tensor:
         raise ShapeError(f"invalid permutation {axes} for ndim {tx.ndim}")
     data = tx.data.transpose(axes)
     out = _wrap(data)
-    inverse = tuple(np.argsort(axes))
+    inverse = _inverse_permutation(axes)
 
     def pull(g):
         return (g.transpose(inverse),)
+
+    return _record(out, (tx,), pull)
+
+
+def rearrange(x, shape_in, perm, shape_out) -> Tensor:
+    """``x.reshape(shape_in).transpose(perm).reshape(shape_out)``, as one record."""
+    tx = as_tensor(x)
+    perm = tuple(int(a) for a in perm)
+    if sorted(perm) != list(range(len(shape_in))):
+        raise ShapeError(f"invalid permutation {perm} for shape {tuple(shape_in)}")
+    try:
+        moved = tx.data.reshape(shape_in).transpose(perm)
+        data = moved.reshape(shape_out)
+    except ValueError as err:
+        raise ShapeError(f"cannot rearrange {tx.shape} via {tuple(shape_in)} "
+                         f"to {tuple(shape_out)}: {err}") from None
+    out = _wrap(data)
+    mid, inverse = moved.shape, _inverse_permutation(perm)
+
+    def pull(g):
+        return (g.reshape(mid).transpose(inverse).reshape(tx.shape),)
 
     return _record(out, (tx,), pull)
 
@@ -631,9 +686,10 @@ def take_rows(matrix, indices) -> Tensor:
     out = _wrap(data)
 
     def pull(g):
-        z = np.zeros_like(tm.data)
-        np.add.at(z, idx.reshape(-1), g.reshape(-1, tm.shape[1]))
-        return (z,)
+        # bincount adds each bin's weights in index order, as np.add.at does
+        width = tm.shape[1]
+        flat = (idx.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
+        return (np.bincount(flat, weights=g.reshape(-1), minlength=tm.size).reshape(tm.shape),)
 
     return _record(out, (tm,), pull)
 
@@ -690,7 +746,7 @@ def backward(loss: Tensor) -> None:
         raise ContractError("backward expects a Tensor")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    records = _state().graph
+    records = _STATE.graph
     produced: set[int] = set()
     leaves: dict[int, Tensor] = {}
     for out, inputs, _ in records:

@@ -142,10 +142,9 @@ def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig,
     ps = cfg.patch_size
     nb = g // ps
     b = z.shape[0]
-    cells = ad.transpose(z, (0, 2, 1))                       # (B, G, D)
-    cells = ad.reshape(cells, (b, nb, ps, nb, ps, nb, ps, d))
-    cells = ad.transpose(cells, (0, 1, 3, 5, 2, 4, 6, 7))
-    tokens = ad.reshape(cells, (b, nb * nb * nb, ps * ps * ps * d))
+    # (B, D, x, y, z) cells -> (B, patch, within-patch offset, D) tokens
+    tokens = ad.rearrange(z, (b, d, nb, ps, nb, ps, nb, ps), (0, 2, 4, 6, 3, 5, 7, 1),
+                          (b, nb * nb * nb, ps * ps * ps * d))
     embed = ad.linear(tokens, params[f"patch_w_{modality}"], params[f"patch_b_{modality}"])
     return embed + ad.Tensor(positional_encoding(nb * nb * nb, cfg.d_model))
 

@@ -364,7 +364,7 @@ class SurvivalModel:
         try:
             payload = json.loads(path.read_bytes())
             version = payload["format_version"]
-            if version != MODEL_FORMAT_VERSION:
+            if type(version) is not int or version != MODEL_FORMAT_VERSION:  # 2.0 == 2, true == 1
                 raise DataFormatError(
                     f"model format {version!r}, but only format {MODEL_FORMAT_VERSION} "
                     f"can be read; retrain to write one")

@@ -136,9 +136,8 @@ def encode(volume, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
         raise ShapeError(f"expected (B, {cfg.n_voxels}) volume, got {v.shape}")
     b = v.shape[0]
     g, bs = cfg.latent_grid, cfg.block_side
-    x = v.reshape((b, g, bs, g, bs, g, bs))
-    x = x.transpose((0, 1, 3, 5, 2, 4, 6))
-    x = x.reshape((b, cfg.grid_voxels, cfg.block_voxels))
+    x = ad.rearrange(v, (b, g, bs, g, bs, g, bs), (0, 1, 3, 5, 2, 4, 6),
+                     (b, cfg.grid_voxels, cfg.block_voxels))
     h = ad.linear(x, params["enc_in_w"], params["enc_in_b"])
     h = _residual_mlp(h, params, "enc_res")
     return h.transpose((0, 2, 1))
@@ -156,9 +155,7 @@ def decode(z, params: dict[str, Tensor], cfg: EncoderConfig) -> Tensor:
     h = t.transpose((0, 2, 1))
     h = _residual_mlp(h, params, "dec_res")
     x = ad.linear(h, params["dec_out_w"], params["dec_out_b"])
-    x = x.reshape((b, g, g, g, bs, bs, bs))
-    x = x.transpose((0, 1, 4, 2, 5, 3, 6))
-    return x.reshape((b, cfg.n_voxels))
+    return ad.rearrange(x, (b, g, g, g, bs, bs, bs), (0, 1, 4, 2, 5, 3, 6), (b, cfg.n_voxels))
 
 
 def quantize(z_e: Tensor, codebook: Tensor) -> LatentPair:
@@ -186,7 +183,7 @@ def quantize(z_e: Tensor, codebook: Tensor) -> LatentPair:
     )
     idx = np.argmin(d2, axis=1)
     rows = ad.take_rows(codebook, idx)
-    z_q = rows.reshape((b, g, d)).transpose((0, 2, 1))
+    z_q = ad.rearrange(rows, (b, g, d), (0, 2, 1), (b, d, g))
     return LatentPair(z_e=z_e, z_q=z_q, indices=idx.reshape(b, g))
 
 

@@ -2,12 +2,18 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see every verdict
 line even on success.  The heavy end-to-end criteria share one session
-fixture that trains five seeded model pairs at the default scale.
+fixture that trains five seeded model pairs at the default scale, one seed
+per task in a pool of two worker processes.
 """
 
 import json
+import multiprocessing
+import os
 import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -449,46 +455,62 @@ ACC_NOISE = synthdata.NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=0
 SWEEP_FRACTIONS = tuple(round(f, 1) for f in np.arange(0.1, 1.01, 0.1))
 
 
+# a worker inherits these when it starts, before it imports numpy
+BLAS_ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def _worker_init():
+    # pytest's filterwarnings setting does not reach child processes
+    warnings.filterwarnings("error", category=RuntimeWarning, module=r"robsurv\.")
+
+
+def _seed_run(seed):
+    """Full and no-quantization trainings of one seed, with their held-out scores."""
+    cohort = synthdata.generate_cohort(
+        300, synthdata.CohortConfig(volume_side=16, censor_rate=0.3, seed=1000 + seed))
+    train_co = cohort.subset(np.arange(200))
+    held = cohort.subset(np.arange(200, 300))
+
+    started = time.perf_counter()
+    full_cfg = trainer.TrainConfig(seed=seed, epochs=40, folds=3)
+    full, _ = trainer.train(train_co, full_cfg)
+    clean = trainer.evaluate(full, held)
+    full_secs = time.perf_counter() - started
+
+    novq_cfg = trainer.TrainConfig(seed=seed, epochs=40, folds=3,
+                                   use_quantization=False)
+    novq, _ = trainer.train(train_co, novq_cfg)
+
+    untrained = trainer.SurvivalModel.init(
+        full_cfg, np.random.default_rng([seed, trainer.INIT_SALT]), full.bin_edges)
+
+    return {
+        "seed": seed,
+        "secs": full_secs,
+        "clean_ctd": clean.c_td[1],
+        "logrank_p": clean.logrank_p,
+        "untrained_ctd": trainer.evaluate(untrained, held).c_td[1],
+        "full_noisy": trainer.evaluate(full, held, ACC_NOISE, noise_seed=seed).c_td[1],
+        "novq_clean": trainer.evaluate(novq, held).c_td[1],
+        "novq_noisy": trainer.evaluate(novq, held, ACC_NOISE, noise_seed=seed).c_td[1],
+        "sweep": {
+            frac: trainer.evaluate(
+                full, held,
+                synthdata.NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=frac),
+                noise_seed=seed).c_td[1]
+            for frac in SWEEP_FRACTIONS
+        },
+    }
+
+
 @pytest.fixture(scope="session")
 def seed_runs():
-    runs = []
-    for seed in ACC_SEEDS:
-        cohort = synthdata.generate_cohort(
-            300, synthdata.CohortConfig(volume_side=16, censor_rate=0.3, seed=1000 + seed))
-        train_co = cohort.subset(np.arange(200))
-        held = cohort.subset(np.arange(200, 300))
-
-        started = time.perf_counter()
-        full_cfg = trainer.TrainConfig(seed=seed, epochs=40, folds=3)
-        full, _ = trainer.train(train_co, full_cfg)
-        clean = trainer.evaluate(full, held)
-        full_secs = time.perf_counter() - started
-
-        novq_cfg = trainer.TrainConfig(seed=seed, epochs=40, folds=3,
-                                       use_quantization=False)
-        novq, _ = trainer.train(train_co, novq_cfg)
-
-        untrained = trainer.SurvivalModel.init(
-            full_cfg, np.random.default_rng([seed, trainer.INIT_SALT]), full.bin_edges)
-
-        runs.append({
-            "seed": seed,
-            "secs": full_secs,
-            "clean_ctd": clean.c_td[1],
-            "logrank_p": clean.logrank_p,
-            "untrained_ctd": trainer.evaluate(untrained, held).c_td[1],
-            "full_noisy": trainer.evaluate(full, held, ACC_NOISE, noise_seed=seed).c_td[1],
-            "novq_clean": trainer.evaluate(novq, held).c_td[1],
-            "novq_noisy": trainer.evaluate(novq, held, ACC_NOISE, noise_seed=seed).c_td[1],
-            "sweep": {
-                frac: trainer.evaluate(
-                    full, held,
-                    synthdata.NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=frac),
-                    noise_seed=seed).c_td[1]
-                for frac in SWEEP_FRACTIONS
-            },
-        })
-    return runs
+    """One `_seed_run` per seed, in seed order; two run at a time, so each
+    seed's time (criterion 6) is measured under contention."""
+    with mock.patch.dict(os.environ, BLAS_ONE_THREAD), ProcessPoolExecutor(
+            max_workers=2, mp_context=multiprocessing.get_context("spawn"),
+            initializer=_worker_init) as pool:
+        return list(pool.map(_seed_run, ACC_SEEDS))
 
 
 def test_criterion_06_end_to_end_learning(seed_runs):

@@ -147,6 +147,18 @@ def test_mismatched_shapes_rejected():
         ad.linear(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 2))), ad.Tensor(np.zeros((1, 2))))
     with pytest.raises(ShapeError):
         ad.linear(ad.Tensor(np.zeros((2, 3, 4))), ad.Tensor(np.zeros((2, 4, 2))))
+    with pytest.raises(ShapeError):
+        ad.rearrange(ad.Tensor(np.zeros((2, 6))), (2, 3, 2), (0, 1), (2, 6))
+    with pytest.raises(ShapeError):
+        ad.rearrange(ad.Tensor(np.zeros((2, 6))), (2, 3, 2), (0, 2, 1), (5, 2))
+
+
+def test_rearrange_is_the_three_step_chain():
+    x = ad.Tensor(rng_for(8).normal(size=(4, 2, 6)))
+    xt = ad.transpose(x, (1, 0, 2))
+    assert not xt.data.flags.c_contiguous
+    got = ad.rearrange(xt, (2, 4, 3, 2), (0, 2, 3, 1), (2, 3, 8))
+    assert np.array_equal(got.data, xt.data.reshape(2, 4, 3, 2).transpose(0, 2, 3, 1).reshape(2, 3, 8))
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +281,8 @@ PRIMITIVE_CASES = {
     "l2norm_axis": lambda r: _reduce_case(r, lambda x: ad.l2norm(x, axis=1).sum()),
     "concat": lambda r: _concat_case(r),
     "reshape_transpose": lambda r: _reshape_case(r),
+    "rearrange": lambda r: _rearrange_case(r, transposed=False),
+    "rearrange_noncontiguous": lambda r: _rearrange_case(r, transposed=True),
     "slice": lambda r: _slice_case(r),
     "take_rows": lambda r: _take_case(r),
     "cumsum_axis0": lambda r: _accumulate_case(r, ad.cumsum, 0),
@@ -361,6 +375,16 @@ def _reshape_case(r):
     return build, [x]
 
 
+def _rearrange_case(r, transposed):
+    # a weighted sum, unlike a sum of squares, tells every output position apart
+    x = _leaf(r, (4, 2, 6) if transposed else (2, 4, 6))
+    w = ad.Tensor(r.normal(size=(2, 3, 8)))
+    def build():
+        src = ad.transpose(x, (1, 0, 2)) if transposed else x
+        return (ad.rearrange(src, (2, 4, 3, 2), (0, 2, 3, 1), (2, 3, 8)) * w).sum()
+    return build, [x]
+
+
 def _slice_case(r):
     x = _leaf(r, (3, 5))
     def build():
@@ -423,6 +447,61 @@ def test_every_primitive_has_a_gradient_case(monkeypatch):
         build()
     ad.reset_graph()
     assert sorted(primitives - called) == []
+
+
+# ---------------------------------------------------------------------------
+# pulls: exact scatter order, constant operands skipped
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 4), st.lists(st.integers(0, 4), max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_take_rows_pull_matches_add_at(rows, width, picks, seed):
+    """The scatter adds each row's contributions in index order, bit for bit as
+    np.add.at does; the last row is never picked and the first pick repeats."""
+    idx = np.array([p % (rows - 1) for p in picks + picks[:1]], dtype=np.intp)
+    r = rng_for(seed)
+    m = ad.Tensor(r.normal(size=(rows, width)), requires_grad=True)
+    ad.reset_graph()
+    ad.take_rows(m, idx)
+    (_, _, pull), = ad.active_graph()
+    # magnitudes far apart make the sum depend on the order of its terms
+    g = r.normal(size=(len(idx), width)) * 10.0 ** r.integers(-8, 9, size=(len(idx), width))
+    reference = np.zeros((rows, width))
+    np.add.at(reference, idx, g)
+    (got,) = pull(g)
+    assert got.shape == reference.shape and got.tobytes() == reference.tobytes()
+    ad.reset_graph()
+
+
+CONSTANT_OPERAND_CASES = [(op, i) for op in ("add", "sub", "mul", "div") for i in (0, 1)] + [
+    ("linear", i) for i in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("op,constant", CONSTANT_OPERAND_CASES)
+def test_constant_operand_gets_no_gradient(op, constant):
+    """A pull returns None for an operand without requires_grad, and the other
+    operands' gradients are bitwise those of the all-trainable record."""
+    r = rng_for(len(op) * 10 + constant)
+    if op == "linear":
+        arrays = [r.normal(size=(2, 3, 4)), r.normal(size=(4, 2)), r.normal(size=(2,))]
+    else:  # a broadcast second operand, so its gradient is also reduced
+        arrays = [r.normal(size=(2, 3, 4)), r.uniform(0.5, 2.0, size=(4,))]
+
+    def pulled(trainable):
+        ad.reset_graph()
+        out = getattr(ad, op)(*(ad.Tensor(a, requires_grad=t) for a, t in zip(arrays, trainable)))
+        (_, _, pull), = ad.active_graph()
+        grads = pull(rng_for(99).normal(size=out.shape))
+        ad.reset_graph()
+        return grads
+
+    partial = pulled([i != constant for i in range(len(arrays))])
+    full = pulled([True] * len(arrays))
+    assert partial[constant] is None
+    for i, (got, want) in enumerate(zip(partial, full)):
+        if i != constant:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _self_attention(t):

@@ -318,6 +318,7 @@ MODEL_EDITS = {
     # the checksum covers only the parameters; a NaN edge would re-bin every outcome
     "bin-edges-nan": lambda p: p["bin_edges"].__setitem__(0, float("nan")),
     "bin-edges-decreasing": lambda p: p["bin_edges"].reverse(),
+    "format-version-float": lambda p: p.__setitem__("format_version", 2.0),
 }
 
 

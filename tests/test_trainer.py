@@ -383,7 +383,7 @@ def test_default_step_tape_length():
     model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]), np.arange(1.0, cfg.n_bins))
     bundle = model.losses(model.forward(cohort.ct, cohort.pet), np.array([2, 5]), np.array([1, 0]))
     assert bundle.ranking.item() > 0.0
-    assert len(ad.active_graph()) == 182
+    assert len(ad.active_graph()) == 170
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +753,7 @@ BAD_MODEL_EDITS = [
     lambda p: p.__setitem__("sha256", "0" * 64),
     lambda p: p.pop("sha256"),
     lambda p: p.__setitem__("format_version", 1),
+    lambda p: p.__setitem__("format_version", 2.0),
     lambda p: p["params"].__setitem__("head.head_b1", "zeros"),
     lambda p: p.__setitem__("params", []),
     lambda p: p["config"].__setitem__("lr", -1),
