@@ -38,8 +38,8 @@ def main():
 
     fractions = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
     full_ctd, abl_ctd = (
-        [r.c_td[1] for r in evaluate_sweep(model, held_out, fractions, [args.seed],
-                                           ct_sigma=args.sigma, pet_level=args.pet)]
+        [c_td[1] for c_td in evaluate_sweep(model, held_out, fractions, [args.seed],
+                                            ct_sigma=args.sigma, pet_level=args.pet)]
         for model in (full, ablated))
     print(f"clean held-out c_td: full {full_ctd[0]:.4f}, no-vq {abl_ctd[0]:.4f}")
     print(f"{'fraction':>8}  {'full':>8}  {'no-vq':>8}")

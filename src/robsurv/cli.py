@@ -218,7 +218,7 @@ def cmd_sweep(args) -> None:
     fractions = _parse_list(args.fractions, float, "fractions")
     seeds = _parse_list(args.seeds, int, "seeds")
     threads = _thread_budget()
-    reports = trainer.evaluate_sweep(
+    scores = trainer.evaluate_sweep(
         model, cohort, fractions, seeds, ct_sigma=args.noise_ct,
         pet_level=None if args.noise_pet == "none" else args.noise_pet, threads=threads)
     cells = [(frac, seed) for frac in fractions for seed in seeds]
@@ -226,7 +226,7 @@ def cmd_sweep(args) -> None:
     out_dir = Path(args.out)
     ensure_dir(out_dir)
     lines = ["fraction,seed,c_td"]
-    lines += [f"{frac!r},{seed},{report.c_td[1]!r}" for (frac, seed), report in zip(cells, reports)]
+    lines += [f"{frac!r},{seed},{c_td[1]!r}" for (frac, seed), c_td in zip(cells, scores)]
     atomic_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     _run_manifest(out_dir, {
         "command": "sweep",

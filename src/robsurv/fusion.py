@@ -146,7 +146,7 @@ def patchify_embed(z, params: dict, modality: str, enc: EncoderConfig,
     tokens = ad.rearrange(z, (b, d, nb, ps, nb, ps, nb, ps), (0, 2, 4, 6, 3, 5, 7, 1),
                           (b, nb * nb * nb, ps * ps * ps * d))
     embed = ad.linear(tokens, params[f"patch_w_{modality}"], params[f"patch_b_{modality}"])
-    return embed + ad.Tensor(positional_encoding(nb * nb * nb, cfg.d_model))
+    return embed + ad.as_tensor(positional_encoding(nb * nb * nb, cfg.d_model))
 
 
 def cross_attention(src_embed, tgt_embed, params: dict, src: str, tgt: str,

@@ -165,7 +165,7 @@ def ranking_loss(incidence: CifGrid, times, events, sigma: float,
 
     # row (k-1)*P + t-1 of by_bin holds F_k(t | j) for every subject j, and
     # row (i*P + t-1)*K + k-1 of flat holds F_k(t | i)
-    by_bin = ad.reshape(ad.transpose(f, (2, 1, 0)), (k * p, b))
+    by_bin = ad.rearrange(f, f.shape, (2, 1, 0), (k * p, b))
     flat = ad.reshape(f, (b * p * k, 1))
     own_rows = (np.arange(b) * p + times - 1) * k
     weighted = None

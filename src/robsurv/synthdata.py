@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -102,15 +103,21 @@ def _patient_rng(seed: int, patient: int, *salt: int) -> np.random.Generator:
 
 
 def _volumes_for(risk: float, side: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.indices((side, side, side), dtype=float)
+    # Each wave and squared centre offset varies along one axis only, so it
+    # is computed once per axis as a (3, side) row and broadcast to the grid.
+    # The grid sums add in axis order, (dx² + dy²) + dz² and (w0 + w1) + w2,
+    # which a test pins bit for bit.
+    axis = np.arange(side, dtype=float)
     center = side / 2.0 + rng.uniform(-side / 8.0, side / 8.0, size=3)
-    dist = np.sqrt(((coords - center[:, None, None, None]) ** 2).sum(axis=0))
+    sq = (axis - center[:, None]) ** 2
+    dist = np.sqrt(sq[0][:, None, None] + sq[1][None, :, None] + sq[2][None, None, :])
 
     # smooth background: three axis-aligned low-frequency waves around 0.2
     freqs = rng.uniform(0.5, 1.5, size=3)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=3)
-    waves = [np.sin(2.0 * np.pi * freqs[a] * coords[a] / side + phases[a]) for a in range(3)]
-    background = 0.2 + 0.1 * sum(waves) / 3.0
+    waves = np.sin(2.0 * np.pi * freqs[:, None] * axis / side + phases[:, None])
+    wave_sum = waves[0][:, None, None] + waves[1][None, :, None] + waves[2][None, None, :]
+    background = 0.2 + 0.1 * wave_sum / 3.0
 
     radius = (2.0 + 4.0 * risk) * side / 16.0
     blob = 0.6 / (1.0 + np.exp(-(radius - dist) / 0.75))
@@ -260,18 +267,16 @@ def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
 
 
 def load_cohort(data_dir) -> SyntheticCohort:
-    """Read a cohort written by ``save_cohort``.  A missing, truncated or
-    inconsistent file raises ``DataFormatError``: besides unparseable fields,
-    that covers a manifest ``format_version`` other than ``FORMAT_VERSION``,
-    a repeated patient id, a time bin below 1, an event code outside
-    0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
+    """Read a cohort written by ``save_cohort``.  A missing, unreadable,
+    truncated or inconsistent file raises ``DataFormatError``: besides
+    unparseable fields, that covers a manifest ``format_version`` other than
+    ``FORMAT_VERSION``, a repeated patient id, a time bin below 1, an event
+    code outside 0..n_risks, a noisy flag other than 0/1 and a non-finite
+    voxel.
     """
     data_dir = Path(data_dir)
-    manifest_path = data_dir / "manifest.json"
-    if not manifest_path.is_file():
-        raise DataFormatError(f"no manifest.json in {data_dir}")
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads((data_dir / "manifest.json").read_bytes())
         version = manifest["format_version"]
         if type(version) is not int or version != FORMAT_VERSION:  # JSON true == 1 in Python
             raise DataFormatError(f"cohort format {version!r}, "
@@ -285,6 +290,10 @@ def load_cohort(data_dir) -> SyntheticCohort:
             seed=int(info["seed"]),
         )
         expected_n = int(info["n"])
+    except FileNotFoundError:
+        raise DataFormatError(f"no manifest.json in {data_dir}") from None
+    except OSError as err:
+        raise DataFormatError(f"unreadable manifest.json: {err.strerror}") from None
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
         raise DataFormatError(f"corrupt manifest: {err}") from None
 
@@ -316,22 +325,30 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raise DataFormatError(f"outcomes.csv: patient {pid} has noisy {flag}, not 0 or 1")
 
     v = side ** 3
-    ct = np.empty((len(ids), v))
-    pet = np.empty((len(ids), v))
+    volumes = {"ct": np.empty((len(ids), v)), "pet": np.empty((len(ids), v))}
     for row, pid in enumerate(ids):
-        for name, target in (("ct", ct), ("pet", pet)):
-            path = data_dir / f"{pid}_{name}.f32"
-            if not path.is_file():
-                raise DataFormatError(f"missing volume file {path.name}")
-            raw = np.frombuffer(path.read_bytes(), dtype="<f4")
-            if raw.size != v:
-                raise DataFormatError(f"{path.name} holds {raw.size} voxels, expected {v}")
-            if not np.isfinite(raw).all():
-                raise DataFormatError(f"{path.name} holds a non-finite voxel")
-            target[row] = raw.astype(float)
+        for name, block in volumes.items():
+            file = f"{pid}_{name}.f32"
+            try:
+                # os.path.join: a pathlib join per file costs as much as its read
+                with open(os.path.join(data_dir, file), "rb") as fh:
+                    raw = fh.read()
+            except FileNotFoundError:
+                raise DataFormatError(f"missing volume file {file}") from None
+            except OSError as err:
+                raise DataFormatError(f"unreadable volume file {file}: {err.strerror}") from None
+            if len(raw) != 4 * v:
+                raise DataFormatError(f"{file} holds {len(raw)} bytes, expected {v} float32 "
+                                      f"voxels ({4 * v} bytes)")
+            block[row] = np.frombuffer(raw, dtype="<f4")
+    for name, block in volumes.items():
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            raise DataFormatError(f"{ids[int(np.argmin(finite))]}_{name}.f32 "
+                                  f"holds a non-finite voxel")
     return SyntheticCohort(
         patient_ids=np.asarray(ids, dtype=int),
-        ct=ct, pet=pet,
+        ct=volumes["ct"], pet=volumes["pet"],
         risk=np.asarray(risk), times=np.asarray(times, dtype=int),
         events=np.asarray(events, dtype=int), noisy=np.asarray(noisy, dtype=bool),
         config=config,

@@ -580,30 +580,14 @@ class EvalReport:
         }
 
 
-def _score(model: SurvivalModel, cohort: SyntheticCohort, values: np.ndarray,
-           noisy: np.ndarray, noise: NoiseSpec | None) -> EvalReport:
-    """Concordance, risk groups and log-rank test of predicted incidence
-    ``values`` against the outcomes of ``cohort``; ``noisy`` flags the rows
-    whose inputs were corrupted."""
-    binned = assign_bins(cohort.times, model.bin_edges)
-    c_td = {
+def _c_td(model: SurvivalModel, cohort: SyntheticCohort, binned: np.ndarray,
+          values: np.ndarray) -> dict[int, float]:
+    """Per-cause concordance of predicted incidence ``values`` against the
+    outcomes of ``cohort``, whose times are already ``binned``."""
+    return {
         cause: stats.concordance(values, binned, cohort.events, cause=cause)
         for cause in range(1, model.config.n_risks + 1)
     }
-
-    score = values[:, -1, 0]
-    groups = stats.stratify(score)
-    flags = (cohort.events > 0).astype(int)
-    km = {
-        "low": stats.km_curve(cohort.times[groups.low], flags[groups.low]),
-        "high": stats.km_curve(cohort.times[groups.high], flags[groups.high]),
-    }
-    lr = stats.logrank(cohort.times[groups.low], flags[groups.low],
-                       cohort.times[groups.high], flags[groups.high])
-    return EvalReport(
-        c_td=c_td, logrank_stat=lr.statistic, logrank_p=lr.p_value, km=km,
-        n=cohort.n, n_noisy=int(noisy.sum()), noise=noise,
-    )
 
 
 def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
@@ -618,23 +602,39 @@ def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
     if noise is not None and not noise.is_clean:
         cohort = apply_noise_mix(cohort, noise, seed=noise_seed)
     values, _, _ = model.predict(cohort.ct, cohort.pet)
-    return _score(model, cohort, values, cohort.noisy, noise)
+    c_td = _c_td(model, cohort, assign_bins(cohort.times, model.bin_edges), values)
+
+    groups = stats.stratify(values[:, -1, 0])
+    flags = (cohort.events > 0).astype(int)
+    km = {
+        "low": stats.km_curve(cohort.times[groups.low], flags[groups.low]),
+        "high": stats.km_curve(cohort.times[groups.high], flags[groups.high]),
+    }
+    lr = stats.logrank(cohort.times[groups.low], flags[groups.low],
+                       cohort.times[groups.high], flags[groups.high])
+    return EvalReport(
+        c_td=c_td, logrank_stat=lr.statistic, logrank_p=lr.p_value, km=km,
+        n=cohort.n, n_noisy=int(cohort.noisy.sum()), noise=noise,
+    )
 
 
 def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, seeds,
                    ct_sigma: float, pet_level: str | None,
-                   threads: int = 1) -> list[EvalReport]:
-    """``evaluate`` over a grid of noisy fractions x noise seeds, fraction-major.
+                   threads: int = 1) -> list[dict[int, float]]:
+    """Per-cause concordance over a grid of noisy fractions x noise seeds,
+    fraction-major.
 
-    Each report equals ``evaluate(model, cohort, NoiseSpec(ct_sigma,
-    pet_level, fraction), seed)`` but the cohort is predicted once clean and
-    once per seed with the largest fraction's rows corrupted: a corrupted
+    Each cell equals ``evaluate(model, cohort, NoiseSpec(ct_sigma,
+    pet_level, fraction), seed).c_td`` but the cohort is predicted once clean
+    and once per seed with the largest fraction's rows corrupted: a corrupted
     row depends only on (seed, patient id) and its clean volume, a smaller
     fraction corrupts a prefix of the same ``noise_order``, and ``predict``
     treats each row on its own at a fixed batch position.  A cell takes the
-    corrupted predictions of its rows and the clean ones of the rest.
-    ``threads`` runs the clean and per-seed predictions concurrently; the
-    reports do not depend on it.
+    corrupted predictions of its rows and the clean ones of the rest.  The
+    risk groups and log-rank test of ``evaluate`` are not computed, so a
+    degenerate median split does not stop a sweep.  ``threads`` runs the
+    clean and per-seed predictions concurrently; the results do not depend
+    on it.
     """
     specs = [NoiseSpec(ct_sigma=ct_sigma, pet_level=pet_level, noisy_fraction=f)
              for f in fractions]  # every spec is checked before any work starts
@@ -655,12 +655,13 @@ def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, see
     clean, noisy = predicted[0], dict(zip(noise_seeds, predicted[1:]))
 
     n = cohort.n
-    reports = []
+    binned = assign_bins(cohort.times, model.bin_edges)
+    cells = []
     for spec in specs:
         for seed in seeds:
             m = 0 if spec.is_clean else int(np.floor(spec.noisy_fraction * n))
             mask = np.zeros(n, dtype=bool)
             mask[noise_order(n, seed)[:m]] = True
             values = np.where(mask[:, None, None], noisy[seed], clean) if m else clean
-            reports.append(_score(model, cohort, values, cohort.noisy | mask, spec))
-    return reports
+            cells.append(_c_td(model, cohort, binned, values))
+    return cells

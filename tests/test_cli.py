@@ -439,6 +439,25 @@ def test_sweep_without_noise_predicts_once(workspace, tmp_path, capsys, monkeypa
     assert len(calls) == 1
 
 
+def test_sweep_writes_csv_when_median_split_is_degenerate(workspace, tmp_path, capsys):
+    # identical volumes give identical predictions: eval cannot split the
+    # cohort into risk groups, but a sweep scores concordance only
+    data = copy_tree(workspace["data"], tmp_path / "data")
+    for name in ("ct", "pet"):
+        first = (data / f"0_{name}.f32").read_bytes()
+        for path in data.glob(f"*_{name}.f32"):
+            path.write_bytes(first)
+    code, _, err = run_cli(["eval", "--model", workspace["model"], "--data", data,
+                            "--out", tmp_path / "ev"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    code, _, _ = run_cli(["sweep", "--model", workspace["model"], "--data", data,
+                          "--fractions", "0", "--seeds", "0", "--out", tmp_path / "sw"], capsys)
+    assert code == 0
+    lines = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2 and 0.0 <= float(lines[1].split(",")[2]) <= 1.0
+
+
 def test_sweep_bad_lists(workspace, tmp_path, capsys):
     base = ["sweep", "--model", workspace["model"], "--data", workspace["data"],
             "--out", tmp_path / "x"]
@@ -487,6 +506,11 @@ def _set_voxel(path: Path, index: int, value: float) -> None:
     voxels.tofile(path)
 
 
+def _replace_with_directory(path: Path) -> None:
+    path.unlink()
+    path.mkdir()
+
+
 def _first_patient_id(data: Path) -> str:
     return (data / "outcomes.csv").read_text().splitlines()[1].split(",")[0]
 
@@ -499,6 +523,7 @@ FAULTS = {
         d / "manifest.json", lambda p: p["cohort"].__setitem__("n", 99)),
     "manifest-version": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p.__setitem__("format_version", 2)),
+    "manifest-directory": lambda d, m: _replace_with_directory(d / "manifest.json"),
     "manifest-version-bool": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p.__setitem__("format_version", True)),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
@@ -510,6 +535,8 @@ FAULTS = {
     "outcomes-noisy": lambda d, m: _set_outcome(d, "noisy", 2),
     "volume-delete": lambda d, m: (d / "0_ct.f32").unlink(),
     "volume-truncate": lambda d, m: _truncate(d / "0_ct.f32"),
+    "volume-odd-size": lambda d, m: (d / "0_ct.f32").write_bytes(b"\x00" * 13),
+    "volume-directory": lambda d, m: _replace_with_directory(d / "0_pet.f32"),
     "volume-nan": lambda d, m: _set_voxel(d / "0_ct.f32", 5, np.nan),
     "volume-inf": lambda d, m: _set_voxel(d / "0_pet.f32", 5, np.inf),
     "model-delete": lambda d, m: m.unlink(),

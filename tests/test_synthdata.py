@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from robsurv import synthdata as sd
+from robsurv import cli, synthdata as sd
 from robsurv.errors import ConfigError, DataFormatError, IncompatibleInputError
 
 
@@ -75,6 +77,44 @@ def test_patient_streams_are_order_independent():
     small = small_cohort(n=3, seed=7)
     assert np.array_equal(big.ct[:3], small.ct)
     assert np.array_equal(big.times[:3], small.times)
+
+
+# sha256 of generate_cohort(6, CohortConfig(side, n_risks, seed=1003)) over
+# ct, pet and risk as <f8 bytes, then times and events as <i8 bytes
+GOLDEN_COHORTS = {
+    (4, 1): "c69eef4a957dc2c26679d035dcf5b1f6dbaf14b2f044d8f8b14a38142419c5de",
+    (4, 2): "7a55d17956c9ec1d2030623c7cf4e7799ac305373d75ae350776cf3c1ba33bd7",
+    (5, 1): "3897aec6289779ef4ac64b6d85daabee72ca625b7b9743da0e7caea1969e427e",
+    (5, 2): "cf09ccd58cc497ba1c8fad572da9471cdc0536d6c35fe927a7804b831ae25770",
+    (8, 1): "dd5eb0dcf81b973f8e818b18c107217f41849dd999c1b42e0d1aec2752c62ef5",
+    (8, 2): "f394b0f9ae79cfdfd0af762d8094089a19464f0996da92e9111f15e4f742bff1",
+    (16, 1): "afc5ec2b3bace3fea168a507dde519138286b27f20ba8a1f97a73b8bd3f8ed88",
+    (16, 2): "368935311b2dfc88dce7af4a432919f0dbc6ada4cde8ed53e9c25ae9ad1285c3",
+}
+
+
+@pytest.mark.parametrize("side,n_risks", GOLDEN_COHORTS,
+                         ids=[f"side{s}-risks{r}" for s, r in GOLDEN_COHORTS])
+def test_generation_matches_golden_digest(side, n_risks):
+    """Cohorts are rebuilt from (seed, config), so any change to the
+    synthesis arithmetic or its draw order must show here."""
+    c = sd.generate_cohort(6, sd.CohortConfig(volume_side=side, n_risks=n_risks, seed=1003))
+    h = hashlib.sha256()
+    for values in (c.ct, c.pet, c.risk):
+        h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    for values in (c.times, c.events):
+        h.update(np.ascontiguousarray(values, dtype="<i8").tobytes())
+    assert h.hexdigest() == GOLDEN_COHORTS[side, n_risks]
+
+
+def test_gen_files_match_golden_digest(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert cli.main(["gen", "--n", "5", "--side", "6", "--risks", "2", "--seed", "17",
+                     "--out", str(out)]) == 0
+    h = hashlib.sha256()
+    for path in sorted(out.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert h.hexdigest() == "b77bbff694b8853060d5b6456de55f6649809690e157b585737f4029b90aa9bb"
 
 
 def test_risk_drives_blob_size():
