@@ -24,16 +24,18 @@ Rules kept deliberately narrow:
   `backward` checks only the gradient of each leaf (a tensor no record
   produced), once: a non-finite adjoint cannot vanish on its way to a
   leaf, because ``x*0``, ``inf-inf`` and ``0*inf`` are all NaN.
-* broadcasting is restricted to leading-axis and trailing-singleton
-  patterns, which keeps every backward rule a sum over an axis prefix
-  or suffix followed by a reshape.
+* add, sub, mul and div broadcast as numpy does; their pulls reduce
+  each operand's gradient back to its shape with `_sum_to`.  Operands
+  numpy cannot broadcast raise ``ShapeError``.
 * ``linear`` takes one shape: a 2-D weight under an operand of rank 2 or
   more, and an optional bias as wide as the weight's output.
   ``attention`` takes (B, Pq, W) queries and (B, Pk, W) keys and values,
   W divisible by the head count.  Neither broadcasts.
-* ``max`` and ``l2norm`` reduce along one given axis; ``transpose`` takes
-  an explicit permutation.  ``rearrange(x, shape_in, perm, shape_out)``
-  records a reshape -> transpose -> reshape chain once.
+* ``max`` and ``l2norm`` reduce along one given axis.
+  ``rearrange(x, shape_in, perm, shape_out)`` records a reshape ->
+  transpose -> reshape chain once; ``reshape`` and ``transpose`` record
+  a ``rearrange``.  numpy checks the shapes and the permutation, and
+  whatever it rejects raises ``ShapeError``.
 * ``detach``, ``straight_through`` and ``clip_passthrough`` are the only
   primitives whose declared Jacobian differs from the true local
   derivative of their forward map; everything else is checkable against
@@ -45,7 +47,6 @@ of a frozen model allocates no tape and is safe to run concurrently.
 
 from __future__ import annotations
 
-import functools
 import threading
 from contextlib import contextmanager
 from typing import Sequence
@@ -228,45 +229,10 @@ def init_params(specs: dict, rng: np.random.Generator) -> dict[str, Tensor]:
 
 
 # ---------------------------------------------------------------------------
-# broadcasting helpers
-
-@functools.lru_cache(maxsize=1024)
-def _broadcast_shape(sa: tuple, sb: tuple, op: str) -> tuple[int, ...]:
-    """Result shape for the restricted broadcast; raises on anything fancier.
-
-    An operand may omit leading axes or carry singleton axes, but the set of
-    broadcast axes must form a contiguous prefix or a contiguous suffix of
-    the padded axis list.  That admits bias terms, per-position gates and
-    scalars while rejecting mixed interior patterns.
-    """
-    n = max(len(sa), len(sb))
-    pa = (1,) * (n - len(sa)) + sa
-    pb = (1,) * (n - len(sb)) + sb
-    out = []
-    for da, db in zip(pa, pb):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: cannot broadcast {sa} with {sb}")
-        out.append(max(da, db))
-    out_t = tuple(out)
-    # contiguity is judged among axes the output actually extends over; axes
-    # of extent 1 on both sides are neutral and never break a block
-    significant = [i for i in range(n) if out_t[i] != 1]
-    for padded in (pa, pb):
-        axes = [i for i in significant if padded[i] == 1]
-        if not axes:
-            continue
-        k = len(axes)
-        prefix = axes == significant[:k]
-        suffix = axes == significant[-k:]
-        if not (prefix or suffix):
-            raise ShapeError(
-                f"{op}: broadcast of {sa} with {sb} is neither leading-axis nor trailing-singleton"
-            )
-    return out_t
-
+# binary elementwise primitives
 
 def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Reduce a broadcast gradient back to the operand's shape."""
+    """Reduce a gradient over any numpy broadcast back to the operand's shape."""
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -278,18 +244,15 @@ def _sum_to(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-# ---------------------------------------------------------------------------
-# binary elementwise primitives
-
 def _binary(op: str, a, b, fwd, grad_a, grad_b) -> Tensor:
     """Record ``fwd(a, b)``; ``grad_a(g, x, y)`` and ``grad_b(g, x, y)`` give the
     unreduced operand gradients, each computed only for an operand that needs it."""
-    if type(a) is Tensor and type(b) is Tensor and a.data.shape == b.data.shape:
-        ta, tb = a, b  # equal shapes always broadcast
-    else:
-        ta, tb = as_tensor(a), as_tensor(b)
-        _broadcast_shape(ta.shape, tb.shape, op)
-    out = _wrap(_ensure_finite(fwd(ta.data, tb.data), op))
+    ta, tb = as_tensor(a), as_tensor(b)
+    try:
+        data = fwd(ta.data, tb.data)
+    except ValueError as err:
+        raise ShapeError(f"{op}: {err}") from None
+    out = _wrap(_ensure_finite(data, op))
 
     def pull(g):
         x, y = ta.data, tb.data
@@ -574,17 +537,11 @@ def cumprod(x, axis: int) -> Tensor:
 
 def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat of an empty sequence")
-    ax = _normalized_axis(axis, ts[0].ndim)
-    base = list(ts[0].shape)
-    for t in ts[1:]:
-        other = list(t.shape)
-        if len(other) != len(base):
-            raise ShapeError("concat operands differ in rank")
-        if other[:ax] + other[ax + 1:] != base[:ax] + base[ax + 1:]:
-            raise ShapeError("concat operands differ off the concat axis")
-    data = np.concatenate([t.data for t in ts], axis=ax)
+    try:
+        data = np.concatenate([t.data for t in ts], axis=axis)
+    except ValueError as err:  # numpy's AxisError is a ValueError
+        raise ShapeError(f"concat: {err}") from None
+    ax = axis % data.ndim
     out = _wrap(data)
     pieces, start = [], 0
     for t in ts:
@@ -597,61 +554,35 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     return _record(out, tuple(ts), pull)
 
 
-def reshape(x, shape) -> Tensor:
+def rearrange(x, shape_in, perm, shape_out) -> Tensor:
+    """``x.reshape(shape_in).transpose(perm).reshape(shape_out)``, as one record."""
     tx = as_tensor(x)
     try:
-        data = tx.data.reshape(shape)
-    except ValueError as err:
-        raise ShapeError(f"cannot reshape {tx.shape} to {shape}: {err}") from None
+        moved = tx.data.reshape(shape_in).transpose(perm)
+        data = moved.reshape(shape_out)
+    except ValueError as err:  # numpy's AxisError is a ValueError
+        raise ShapeError(f"cannot rearrange {tx.shape} via {shape_in}, {perm} "
+                         f"to {shape_out}: {err}") from None
     out = _wrap(data)
+    mid = moved.shape
 
     def pull(g):
-        return (g.reshape(tx.shape),)
+        # numpy accepted negative axes; made non-negative, argsort inverts the permutation
+        inverse = np.argsort(np.mod(perm, len(mid)))
+        return (g.reshape(mid).transpose(inverse).reshape(tx.shape),)
 
     return _record(out, (tx,), pull)
 
 
-def _inverse_permutation(axes: tuple) -> tuple:
-    inverse = [0] * len(axes)
-    for i, a in enumerate(axes):
-        inverse[a] = i
-    return tuple(inverse)
+def reshape(x, shape) -> Tensor:
+    tx = as_tensor(x)
+    return rearrange(tx, tx.shape, range(tx.ndim), shape)
 
 
 def transpose(x, axes) -> Tensor:
     tx = as_tensor(x)
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(tx.ndim)):
-        raise ShapeError(f"invalid permutation {axes} for ndim {tx.ndim}")
-    data = tx.data.transpose(axes)
-    out = _wrap(data)
-    inverse = _inverse_permutation(axes)
-
-    def pull(g):
-        return (g.transpose(inverse),)
-
-    return _record(out, (tx,), pull)
-
-
-def rearrange(x, shape_in, perm, shape_out) -> Tensor:
-    """``x.reshape(shape_in).transpose(perm).reshape(shape_out)``, as one record."""
-    tx = as_tensor(x)
-    perm = tuple(int(a) for a in perm)
-    if sorted(perm) != list(range(len(shape_in))):
-        raise ShapeError(f"invalid permutation {perm} for shape {tuple(shape_in)}")
-    try:
-        moved = tx.data.reshape(shape_in).transpose(perm)
-        data = moved.reshape(shape_out)
-    except ValueError as err:
-        raise ShapeError(f"cannot rearrange {tx.shape} via {tuple(shape_in)} "
-                         f"to {tuple(shape_out)}: {err}") from None
-    out = _wrap(data)
-    mid, inverse = moved.shape, _inverse_permutation(perm)
-
-    def pull(g):
-        return (g.reshape(mid).transpose(inverse).reshape(tx.shape),)
-
-    return _record(out, (tx,), pull)
+    # wrap mode never raises, so numpy's transpose inside rearrange rejects a bad permutation
+    return rearrange(tx, tx.shape, axes, np.take(tx.shape, axes, mode="wrap"))
 
 
 def slice_along(x, axis: int, start: int, stop: int) -> Tensor:

@@ -139,9 +139,6 @@ def chi2_sf(x: float, dof: int = 1) -> float:
 class LogRankResult:
     statistic: float
     p_value: float
-    n_a: int
-    n_b: int
-    n_events: int
 
 
 def logrank(times_a, events_a, times_b, events_b) -> LogRankResult:
@@ -163,28 +160,24 @@ def logrank(times_a, events_a, times_b, events_b) -> LogRankResult:
 
     observed_minus_expected = 0.0
     variance = 0.0
-    n_events = 0
     for t in event_times:
         n = int((pooled_t >= t).sum())
         n1 = int((ta >= t).sum())
         d = int(((pooled_t == t) & (pooled_e > 0)).sum())
         d1 = int(((ta == t) & (ea > 0)).sum())
-        n_events += d
         observed_minus_expected += d1 - d * n1 / n
         if n > 1:
             variance += d * (n1 / n) * (1.0 - n1 / n) * (n - d) / (n - 1)
     if variance == 0.0:
         raise UndefinedTestError("log-rank variance is zero")
     stat = observed_minus_expected ** 2 / variance
-    return LogRankResult(statistic=float(stat), p_value=chi2_sf(stat),
-                         n_a=int(ta.size), n_b=int(tb.size), n_events=n_events)
+    return LogRankResult(statistic=float(stat), p_value=chi2_sf(stat))
 
 
 @dataclass(frozen=True)
 class StratifiedGroups:
     low: np.ndarray        # indices, ascending
     high: np.ndarray
-    threshold: float
 
 
 def stratify(scores) -> StratifiedGroups:
@@ -197,4 +190,4 @@ def stratify(scores) -> StratifiedGroups:
     high = np.flatnonzero(scores > threshold)
     if low.size == 0 or high.size == 0:
         raise DegenerateGroupsError("median split produced an empty group")
-    return StratifiedGroups(low=low, high=high, threshold=threshold)
+    return StratifiedGroups(low=low, high=high)

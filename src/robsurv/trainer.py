@@ -314,13 +314,14 @@ class SurvivalModel:
     def predict(self, ct: np.ndarray, pet: np.ndarray, batch: int = 32):
         """Incidence values, residual survival, and codebook assignments.
 
-        Runs without recording a graph; parameters are never touched.
+        Runs without recording a graph; parameters are never touched.  An
+        overflow is reported by the primitives' finiteness checks, not by numpy.
         """
         n = ct.shape[0]
         values = []
         survs = []
         usage: dict[str, list] = {m: [] for m in vq.MODALITIES}
-        with ad.no_grad():
+        with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch):
                 fwd = self.forward(ct[start:start + batch], pet[start:start + batch])
                 inc = survival.cif(fwd.hazards)
@@ -462,18 +463,20 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
         for start in range(0, n, config.batch_size):
             rows = order[start:start + config.batch_size]
             ad.reset_graph()
-            try:
-                fwd = model.forward(train_co.ct[rows], train_co.pet[rows])
-                bundle = model.losses(fwd, t_train[rows], train_co.events[rows])
-                value = bundle.total.item()
-                if not np.isfinite(value):
-                    raise NumericsError("non-finite loss")
-                optimizer.zero_grad()
-                ad.backward(bundle.total)
-            except NumericsError as err:
-                raise TrainingDivergedError(
-                    f"fold {fold} epoch {epoch}: {err}") from None
-            optimizer.step()
+            # a diverging step is reported by the finiteness checks, not by numpy
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    fwd = model.forward(train_co.ct[rows], train_co.pet[rows])
+                    bundle = model.losses(fwd, t_train[rows], train_co.events[rows])
+                    value = bundle.total.item()
+                    if not np.isfinite(value):
+                        raise NumericsError("non-finite loss")
+                    optimizer.zero_grad()
+                    ad.backward(bundle.total)
+                except NumericsError as err:
+                    raise TrainingDivergedError(
+                        f"fold {fold} epoch {epoch}: {err}") from None
+                optimizer.step()
             batch_losses.append(value)
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))

@@ -481,6 +481,10 @@ def _full_run(seed):
 
     untrained = trainer.SurvivalModel.init(
         full_cfg, np.random.default_rng([seed, trainer.INIT_SALT]), full.bin_edges)
+    # each cell equals evaluate(full, held, NoiseSpec(..., frac), seed).c_td
+    cells = trainer.evaluate_sweep(full, held, SWEEP_FRACTIONS, [seed],
+                                   ct_sigma=ACC_NOISE.ct_sigma, pet_level=ACC_NOISE.pet_level)
+    sweep = {frac: cell[1] for frac, cell in zip(SWEEP_FRACTIONS, cells)}
 
     return {
         "seed": seed,
@@ -488,14 +492,8 @@ def _full_run(seed):
         "clean_ctd": clean.c_td[1],
         "logrank_p": clean.logrank_p,
         "untrained_ctd": trainer.evaluate(untrained, held).c_td[1],
-        "full_noisy": trainer.evaluate(full, held, ACC_NOISE, noise_seed=seed).c_td[1],
-        "sweep": {
-            frac: trainer.evaluate(
-                full, held,
-                synthdata.NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=frac),
-                noise_seed=seed).c_td[1]
-            for frac in SWEEP_FRACTIONS
-        },
+        "full_noisy": sweep[ACC_NOISE.noisy_fraction],
+        "sweep": sweep,
     }
 
 

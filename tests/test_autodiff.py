@@ -131,13 +131,6 @@ def test_broadcast_bias_and_gate():
     ad.reset_graph()
 
 
-def test_interior_broadcast_rejected():
-    a = ad.Tensor(np.zeros((2, 3, 4)))
-    b = ad.Tensor(np.zeros((1, 3, 1)))
-    with pytest.raises(ShapeError):
-        ad.add(a, b)
-
-
 def test_mismatched_shapes_rejected():
     with pytest.raises(ShapeError):
         ad.add(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 4))))
@@ -151,6 +144,11 @@ def test_mismatched_shapes_rejected():
         ad.rearrange(ad.Tensor(np.zeros((2, 6))), (2, 3, 2), (0, 1), (2, 6))
     with pytest.raises(ShapeError):
         ad.rearrange(ad.Tensor(np.zeros((2, 6))), (2, 3, 2), (0, 2, 1), (5, 2))
+    with pytest.raises(ShapeError):
+        ad.concat([ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((3, 3)))], axis=1)
+    for perm in [(0, 0, 1), (0, 5, 1), (1, 0)]:
+        with pytest.raises(ShapeError):
+            ad.transpose(ad.Tensor(np.zeros((2, 3, 4))), perm)
 
 
 def test_rearrange_is_the_three_step_chain():
@@ -259,6 +257,7 @@ PRIMITIVE_CASES = {
     "sub": lambda r: _binary_case(r, ad.sub),
     "mul": lambda r: _binary_case(r, ad.mul),
     "mul_gate": lambda r: _gate_case(r),
+    "mul_interior_broadcast": lambda r: _interior_case(r),
     "div": lambda r: _div_case(r),
     # a bias-free linear is a plain matmul
     "matmul": lambda r: _linear_case(r, (3, 4), bias=False),
@@ -281,6 +280,7 @@ PRIMITIVE_CASES = {
     "l2norm_axis": lambda r: _reduce_case(r, lambda x: ad.l2norm(x, axis=1).sum()),
     "concat": lambda r: _concat_case(r),
     "reshape_transpose": lambda r: _reshape_case(r),
+    "transpose_negative_axis": lambda r: _negative_axis_case(r),
     "rearrange": lambda r: _rearrange_case(r, transposed=False),
     "rearrange_noncontiguous": lambda r: _rearrange_case(r, transposed=True),
     "slice": lambda r: _slice_case(r),
@@ -315,6 +315,12 @@ def _bias_case(r, op):
 def _gate_case(r):
     a, g = _leaf(r, (2, 3, 4)), _leaf(r, (2, 3, 1))
     return (lambda: (a * g).sum()), [a, g]
+
+
+def _interior_case(r):
+    a, b = _leaf(r, (2, 3, 4)), _leaf(r, (1, 3, 1))
+    w = ad.Tensor(r.normal(size=(2, 3, 4)))
+    return (lambda: (a * b * w).sum()), [a, b]
 
 
 def _div_case(r):
@@ -373,6 +379,13 @@ def _reshape_case(r):
         y = x.reshape((2, 3, 2)).transpose((1, 0, 2))
         return (y * y).sum()
     return build, [x]
+
+
+def _negative_axis_case(r):
+    # (2, 0, 1) is not its own inverse, so a pull that mishandles -1 is caught
+    x = _leaf(r, (2, 3, 4))
+    w = ad.Tensor(r.normal(size=(4, 2, 3)))
+    return (lambda: (ad.transpose(x, (-1, 0, 1)) * w).sum()), [x]
 
 
 def _rearrange_case(r, transposed):

@@ -225,6 +225,15 @@ def test_train_ablation_flag_recorded(workspace, tmp_path, capsys):
     assert model["config"]["use_quantization"] is False
 
 
+def test_train_divergence_exits_4(workspace, tmp_path, capsys):
+    config = tmp_path / "diverge.json"
+    config.write_text(json.dumps({**TINY_CONFIG, "lr": 1e300}))
+    code, _, err = run_cli(["train", "--data", workspace["data"], "--config", config,
+                            "--out", tmp_path / "run"], capsys)
+    assert code == 4
+    assert_one_error_line(err)
+
+
 # ---------------------------------------------------------------------------
 # eval
 

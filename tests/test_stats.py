@@ -289,7 +289,6 @@ def test_logrank_hand_tabulated_separated_groups():
     ome = (1 - 0.5) + (1 - 1 / 3) + (0 - 0.0) + 0.0
     var = 0.25 + 2 / 9
     assert result.statistic == pytest.approx(ome ** 2 / var, rel=1e-12)
-    assert result.n_a == 2 and result.n_b == 2
 
 
 def permutation_p_value(ta, ea, tb, eb, n_draws, seed):
@@ -332,7 +331,6 @@ def test_stratify_median_split():
     groups = stats.stratify([0.2, 0.5, 0.8])
     assert groups.low.tolist() == [0, 1]
     assert groups.high.tolist() == [2]
-    assert groups.threshold == 0.5
 
 
 def test_stratify_even_count():

@@ -414,6 +414,17 @@ def test_training_deterministic(cohort24, trained):
         assert da == db
 
 
+def test_training_with_noise_deterministic_and_distinct(cohort24, trained):
+    clean_model, _ = trained
+    model, reports = trainer.train(cohort24, tiny_config(train_with_noise=True))
+    model2, reports2 = trainer.train(cohort24, tiny_config(train_with_noise=True))
+    assert all(r.trained_with_noise for r in reports + reports2)
+    for k in model.params:
+        assert np.array_equal(model.params[k].data, model2.params[k].data), k
+    assert any(not np.array_equal(model.params[k].data, clean_model.params[k].data)
+               for k in model.params)
+
+
 def test_returned_model_is_best_fold(cohort24, trained):
     model, reports = trained
     best = max(reports, key=lambda r: (r.best_val_ctd, -r.fold))
