@@ -2,8 +2,9 @@
 
 Every command writes its artifacts atomically into the requested output
 directory (one ``manifest.json`` each) and reports results as ``key=value``
-lines on stdout.  Exit codes: 0 success, 2 usage or validation problem,
-3 unusable input data, 4 numerical failure.
+lines on stdout.  Exit codes: 0 success, 2 usage or validation problem
+or an output that cannot be written, 3 unusable input data, 4 numerical
+failure.
 
 Re-running a command with identical arguments reproduces every output file
 byte for byte; timing measurements are kept out of the written reports for
@@ -27,6 +28,7 @@ from .errors import (
     IncompatibleInputError,
     InvalidOutcomeError,
     NumericsError,
+    OutputError,
     TrainingDivergedError,
     UndefinedMetricError,
     UndefinedTestError,
@@ -48,7 +50,7 @@ EXIT_NUMERIC = 4
 
 MANIFEST_VERSION = 1
 
-_USAGE_ERRORS = (ConfigError,)
+_USAGE_ERRORS = (ConfigError, OutputError)
 _INPUT_ERRORS = (
     DataFormatError,
     IncompatibleInputError,
@@ -126,6 +128,16 @@ def _strip_timing(report: dict) -> dict:
     return report
 
 
+def _warn_collapsed_codebooks(reports, codebook_size: int) -> None:
+    """One stderr line per fold and modality whose codebook is nearly unused."""
+    for report in reports:
+        for modality, health in (report.codebook or {}).items():
+            if health["perplexity"] < 2:  # fewer than two codes' worth of usage
+                print(f"warning: fold {report.fold} {modality} codebook perplexity "
+                      f"{health['perplexity']!r} ({health['dead_entries']} of "
+                      f"{codebook_size} entries dead)", file=sys.stderr)
+
+
 def cmd_train(args) -> None:
     cohort = load_cohort(args.data)
     config = _load_train_config(args.config, args.ablate)
@@ -144,6 +156,7 @@ def cmd_train(args) -> None:
         "ablate": args.ablate,
         "config": trainer.config_to_dict(config),
     })
+    _warn_collapsed_codebooks(reports, config.encoder.codebook_size)
     _emit({
         "command": "train",
         "out": out_dir,

@@ -51,3 +51,7 @@ class IncompatibleInputError(ValueError):
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during optimization."""
+
+
+class OutputError(RuntimeError):
+    """An output file or directory could not be created or written."""

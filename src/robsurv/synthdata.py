@@ -251,8 +251,8 @@ def cohort_manifest(cohort: SyntheticCohort) -> dict:
 def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
     out_dir = ensure_dir(out_dir)
     for row, pid in enumerate(cohort.patient_ids):
-        atomic_bytes(out_dir / f"{int(pid)}_ct.f32", cohort.ct[row].astype("<f4").tobytes())
-        atomic_bytes(out_dir / f"{int(pid)}_pet.f32", cohort.pet[row].astype("<f4").tobytes())
+        atomic_bytes(out_dir / f"{int(pid)}_ct.f32", [cohort.ct[row].astype("<f4").tobytes()])
+        atomic_bytes(out_dir / f"{int(pid)}_pet.f32", [cohort.pet[row].astype("<f4").tobytes()])
 
     rows = ["patient_id,time_bin,event,latent_risk,noisy"]
     for row in range(cohort.n):

@@ -36,7 +36,7 @@ from .errors import (
     TrainingDivergedError,
     UndefinedMetricError,
 )
-from .fileio import atomic_text
+from .fileio import atomic_bytes
 from .optim import Adam
 from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noise_order
 
@@ -341,12 +341,13 @@ class SurvivalModel:
         """Write the config, bin edges and every parameter as base64 of its
         little-endian float64 bytes, plus a sha256 over those bytes in
         sorted-name order; the round trip is bitwise exact."""
-        params, digest = {}, hashlib.sha256()
+        params, blobs, digest = {}, [], hashlib.sha256()
         for name in sorted(self.params):
             data = self.params[name].data
             raw = data.astype("<f8", copy=False).tobytes()  # C order, 0-d stays 0-d
             digest.update(raw)
-            params[name] = {"shape": list(data.shape), "f64le": base64.b64encode(raw).decode()}
+            params[name] = {"shape": list(data.shape), "f64le": ""}
+            blobs.append(base64.b64encode(raw))
         payload = {
             "format_version": MODEL_FORMAT_VERSION,
             "config": config_to_dict(self.config),
@@ -354,7 +355,15 @@ class SurvivalModel:
             "params": params,
             "sha256": digest.hexdigest(),
         }
-        atomic_text(path, json.dumps(payload, sort_keys=True) + "\n")
+        # The file is json.dumps(payload, sort_keys=True) + "\n" with the base64
+        # spliced in verbatim: the base64 alphabet holds nothing JSON escapes, so
+        # scanning and re-encoding megabytes of it would only cost time.
+        head, *tails = json.dumps(payload, sort_keys=True).split('"f64le": ""')
+        assert len(tails) == len(blobs)  # only params entries have an f64le key
+        chunks = [head.encode()]
+        for blob, tail in zip(blobs, tails):  # both in sorted-name order
+            chunks += [b'"f64le": "', blob, b'"', tail.encode()]
+        atomic_bytes(path, chunks + [b"\n"])
 
     @classmethod
     def load(cls, path) -> "SurvivalModel":
@@ -384,6 +393,8 @@ class SurvivalModel:
         # ConfigError, DataFormatError, JSONDecodeError and bad base64 are ValueErrors
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise DataFormatError(f"bad model file {path}: {err}") from None
+        except OSError as err:
+            raise DataFormatError(f"unreadable model file {path}: {err.strerror}") from None
 
 
 def _decode_params(entries: dict, checksum: str) -> dict:

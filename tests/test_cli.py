@@ -214,15 +214,31 @@ def test_train_missing_config_file(workspace, tmp_path, capsys):
 
 def test_train_ablation_flag_recorded(workspace, tmp_path, capsys):
     out = tmp_path / "ablated"
-    code, _, _ = run_cli(["train", "--data", workspace["data"],
-                          "--config", workspace["config"],
-                          "--out", out, "--ablate", "no-vq"], capsys)
+    code, _, err = run_cli(["train", "--data", workspace["data"],
+                            "--config", workspace["config"],
+                            "--out", out, "--ablate", "no-vq"], capsys)
     assert code == 0
+    assert err == ""  # no codebook, no collapse warning
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"]["ablate"] == "no-vq"
     assert manifest["run"]["config"]["use_quantization"] is False
     model = json.loads((out / "model.json").read_text())
     assert model["config"]["use_quantization"] is False
+
+
+def test_train_warns_on_collapsed_codebooks(workspace, tmp_path, capsys):
+    out = tmp_path / "run"
+    code, _, err = run_cli(["train", "--data", workspace["data"],
+                            "--config", workspace["config"], "--out", out], capsys)
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    size = TINY_CONFIG["encoder"]["codebook_size"]
+    expected = [f"warning: fold {fold['fold']} {m} codebook perplexity {h['perplexity']!r} "
+                f"({h['dead_entries']} of {size} entries dead)"
+                for fold in report["folds"] for m, h in fold["codebook"].items()
+                if h["perplexity"] < 2]
+    assert expected  # the tiny run collapses
+    assert err.splitlines() == expected
 
 
 def test_train_divergence_exits_4(workspace, tmp_path, capsys):
@@ -361,6 +377,23 @@ def test_eval_missing_model(workspace, tmp_path, capsys):
     code, _, _ = run_cli(["eval", "--model", tmp_path / "no.json",
                           "--data", workspace["data"], "--out", tmp_path / "x"], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_unreadable_model_exits_3(workspace, tmp_path, capsys, monkeypatch, command):
+    model = workspace["model"]
+    read_bytes = Path.read_bytes
+
+    def refuse(path):
+        if path == model:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", refuse)
+    code, _, err = _serve(command, model, workspace["data"], tmp_path / "out", capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    assert f"unreadable model file {model}" in err
 
 
 def test_eval_side_mismatch(workspace, tmp_path, capsys):
@@ -586,6 +619,33 @@ def test_sweep_huge_pet_voxel_is_input_error(workspace, tmp_path, capsys):
     assert_one_error_line(err)
     assert "PET intensity" in err
     assert _serve("eval", model, data, tmp_path / "ev", capsys)[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# outputs that cannot be written
+
+
+@pytest.mark.parametrize("where", ["file", "file/sub", "taken"])
+@pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep"])
+def test_unwritable_out_exits_2(workspace, tmp_path, capsys, command, where):
+    (tmp_path / "file").write_text("keep\n")
+    written = {"gen": "manifest.json", "train": "model.json", "eval": "metrics.json",
+               "sweep": "sweep.csv"}[command]
+    (tmp_path / "taken" / written).mkdir(parents=True)  # an output's name is a directory
+    out = tmp_path / where
+    argv = {
+        "gen": ["gen", "--n", "6", "--side", "8"],
+        "train": ["train", "--data", workspace["data"], "--config", workspace["config"]],
+        "eval": ["eval", "--model", workspace["model"], "--data", workspace["data"]],
+        "sweep": ["sweep", "--model", workspace["model"], "--data", workspace["data"],
+                  "--fractions", "0", "--seeds", "0"],
+    }[command]
+    code, pairs, err = run_cli(argv + ["--out", out], capsys)
+    assert code == 2
+    assert not pairs
+    assert_one_error_line(err)
+    assert str(out) in err
+    assert (tmp_path / "file").read_text() == "keep\n"
 
 
 # ---------------------------------------------------------------------------

@@ -694,6 +694,45 @@ def test_saved_params_are_base64_tensors(trained, tmp_path):
     assert payload["sha256"] == digest.hexdigest()
 
 
+def _reference_file(model) -> bytes:
+    """What ``save`` must write: the whole payload through ``json.dumps``."""
+    params, digest = {}, hashlib.sha256()
+    for name in sorted(model.params):
+        raw = model.params[name].data.astype("<f8").tobytes()
+        digest.update(raw)
+        params[name] = {"shape": list(model.params[name].shape),
+                        "f64le": base64.b64encode(raw).decode()}
+    payload = {"format_version": 2, "config": trainer.config_to_dict(model.config),
+               "bin_edges": [float(e) for e in model.bin_edges], "params": params,
+               "sha256": digest.hexdigest()}
+    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+
+
+def test_saved_bytes_are_the_json_dump(trained, cohort24, tmp_path):
+    no_vq = _fresh_model(tiny_config(use_quantization=False), cohort24, seed=5)
+    for model in (trained[0], no_vq):
+        model.save(tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == _reference_file(model)
+
+
+# size and sha256 of model.json for a seeded init; save must keep writing these bytes
+GOLDEN_MODEL_FILES = [
+    ({}, 4_656_871, "4c60fb8f735691a384c8a07b2b02ad594c6ca2bc392c37d86e9a77ebf3196999"),
+    ({"n_risks": 2, "fusion": {"n_heads": 2}}, 6_082_407,
+     "ba8f24e94c7e498d1106f0be04ca606e0629680420f9235c17298aad38b86e02"),
+]
+
+
+@pytest.mark.parametrize("overrides,size,sha", GOLDEN_MODEL_FILES)
+def test_saved_bytes_match_golden_digest(tmp_path, overrides, size, sha):
+    config = trainer.config_from_dict(overrides)
+    model = trainer.SurvivalModel.init(config, np.random.default_rng([0, 99]),
+                                       np.arange(1.0, 10.0))
+    model.save(tmp_path / "model.json")
+    data = (tmp_path / "model.json").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
+
+
 def _set_tensor(payload: dict, name: str, array) -> None:
     """Store ``array`` as parameter ``name`` and re-seal the checksum."""
     array = np.asarray(array, dtype="<f8")
