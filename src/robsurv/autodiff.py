@@ -7,11 +7,13 @@ None) per input.  The pulls of add, sub, mul, div and linear, the
 primitives that take constant operands (masks, the positional table, input
 volumes), skip every operand without ``requires_grad``: they return None
 for it and never compute its gradient.  `backward` walks the tape once in
-reverse and accumulates adjoints into per-tensor ``grad`` buffers, so
-data-dependent structure (nearest-codebook selection, per-bin masks) is
-differentiated exactly as executed.  Calling `backward` again on an intact
-tape first clears every grad it is about to touch and therefore reproduces
-identical results.
+reverse, so data-dependent structure (nearest-codebook selection, per-bin
+masks) is differentiated exactly as executed.  Only leaves (tensors no
+record produced) keep ``.grad``: a record's output adjoint is dropped as
+soon as its pull has run, because every record that reads that output
+comes later on the tape and has already been pulled.  Calling `backward`
+again on an intact tape first clears every grad it is about to touch and
+therefore reproduces identical results.
 
 Rules kept deliberately narrow:
 
@@ -665,13 +667,15 @@ def clip_passthrough(x, lo: float | None = None, hi: float | None = None) -> Ten
 # reverse pass
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into ``.grad`` over the active tape.
+    """Store d(loss)/d(leaf) in ``.grad`` of every leaf the tape reaches.
 
     The walk visits each record exactly once in reverse execution order;
     records not upstream of ``loss`` carry a zero adjoint and contribute
-    nothing.  All grads touched by the tape are cleared first, so repeated
-    calls on an intact graph give identical results.  Each leaf gradient
-    is checked once for finiteness (see the module docstring).
+    nothing.  A record output's adjoint is released once its pull has run,
+    so afterwards no record output (``loss`` included) holds ``.grad``.
+    All grads touched by the tape are cleared first, so repeated calls on
+    an intact graph give identical results.  Each leaf gradient is checked
+    once for finiteness (see the module docstring).
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
@@ -699,7 +703,9 @@ def backward(loss: Tensor) -> None:
             for t, contrib in zip(inputs, pull(g)):
                 if contrib is None or not t.requires_grad:
                     continue
+                # out of place: a pull may hand the same array to several inputs
                 t.grad = contrib if t.grad is None else t.grad + contrib
+            out.grad = None  # every reader of ``out`` is later on the tape, already pulled
     for t in leaves.values():
         if t.grad is not None and not np.all(np.isfinite(t.grad)):
             raise NumericsError("backward produced a non-finite gradient")

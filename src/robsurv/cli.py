@@ -116,6 +116,8 @@ def _load_train_config(path: str | None, ablate: str) -> trainer.TrainConfig:
             raise ConfigError(f"config file not found: {file}")
         try:
             raw = json.loads(file.read_text())
+        except OSError as err:
+            raise ConfigError(f"cannot read config file {file}: {err.strerror}") from None
         except ValueError as err:  # undecodable bytes or invalid JSON
             raise ConfigError(f"config file is not valid JSON: {err}") from None
     # the ablation flag wins over whatever the config file says
@@ -141,11 +143,10 @@ def _warn_collapsed_codebooks(reports, codebook_size: int) -> None:
 def cmd_train(args) -> None:
     cohort = load_cohort(args.data)
     config = _load_train_config(args.config, args.ablate)
+    out_dir = ensure_dir(args.out)  # before training, so a bad --out costs no work
     model, reports = trainer.train(cohort, config)
     best = trainer.best_fold(reports)
 
-    out_dir = Path(args.out)
-    ensure_dir(out_dir)
     model.save(out_dir / "model.json")
     _write_json(out_dir / "report.json", {
         "best_fold": best.fold,
@@ -182,10 +183,9 @@ def cmd_eval(args) -> None:
     model = trainer.SurvivalModel.load(args.model)
     cohort = load_cohort(args.data)
     spec = _noise_from_flags(args.noise_ct, args.noise_pet, args.noise_frac)
+    out_dir = ensure_dir(args.out)
     report = trainer.evaluate(model, cohort, spec, noise_seed=args.noise_seed)
 
-    out_dir = Path(args.out)
-    ensure_dir(out_dir)
     _write_json(out_dir / "metrics.json", report.metrics_dict())
     stats.write_km_csv(out_dir / "km.csv", report.km)
     _run_manifest(out_dir, {
@@ -231,13 +231,12 @@ def cmd_sweep(args) -> None:
     fractions = _parse_list(args.fractions, float, "fractions")
     seeds = _parse_list(args.seeds, int, "seeds")
     threads = _thread_budget()
+    out_dir = ensure_dir(args.out)
     scores = trainer.evaluate_sweep(
         model, cohort, fractions, seeds, ct_sigma=args.noise_ct,
         pet_level=None if args.noise_pet == "none" else args.noise_pet, threads=threads)
     cells = [(frac, seed) for frac in fractions for seed in seeds]
 
-    out_dir = Path(args.out)
-    ensure_dir(out_dir)
     lines = ["fraction,seed,c_td"]
     lines += [f"{frac!r},{seed},{c_td[1]!r}" for (frac, seed), c_td in zip(cells, scores)]
     atomic_text(out_dir / "sweep.csv", "\n".join(lines) + "\n")

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, IncompatibleInputError
+from .errors import ConfigError, DataFormatError, IncompatibleInputError, ShapeError
 from .fileio import atomic_bytes, atomic_text, ensure_dir
 
 CT_SIGMA_CHOICES = (0.0, 0.01, 0.05, 0.1)
@@ -85,15 +85,19 @@ class SyntheticCohort:
         return self.patient_ids.size
 
     def subset(self, indices) -> "SyntheticCohort":
+        """The given rows as a new cohort that shares no memory with this one."""
         idx = np.asarray(indices)
+        if idx.ndim != 1:  # a 0-d index would select one row as a view
+            raise ShapeError(f"subset needs a 1-D index, got shape {idx.shape}")
+        # indexing with an array copies, so each field is copied exactly once
         return SyntheticCohort(
-            patient_ids=self.patient_ids[idx].copy(),
-            ct=self.ct[idx].copy(),
-            pet=self.pet[idx].copy(),
-            risk=self.risk[idx].copy(),
-            times=self.times[idx].copy(),
-            events=self.events[idx].copy(),
-            noisy=self.noisy[idx].copy(),
+            patient_ids=self.patient_ids[idx],
+            ct=self.ct[idx],
+            pet=self.pet[idx],
+            risk=self.risk[idx],
+            times=self.times[idx],
+            events=self.events[idx],
+            noisy=self.noisy[idx],
             config=self.config,
         )
 

@@ -489,6 +489,10 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
                         f"fold {fold} epoch {epoch}: {err}") from None
                 optimizer.step()
             batch_losses.append(value)
+        # no gradient lives on into validation or onto the kept model; freeing
+        # them after every step instead lets glibc malloc trim the heap top and
+        # fault it back in on the next step (about 9x the page faults at batch 32)
+        optimizer.zero_grad()
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))
         values, _, usage = model.predict(val_co.ct, val_co.pet)

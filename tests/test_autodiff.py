@@ -187,6 +187,22 @@ def test_backward_twice_identical():
     ad.reset_graph()
 
 
+def test_backward_keeps_grad_only_on_leaves():
+    rng = rng_for(12)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2,)), requires_grad=True)
+    mask = ad.Tensor(rng.uniform(size=(3, 2)))
+    h = ad.relu(ad.linear(x, w, b))
+    loss = (ad.sigmoid(h) * h * mask + h).mean()  # h feeds three records
+    ad.backward(loss)
+    outputs = [out for out, _, _ in ad.active_graph()]
+    assert len(outputs) == 7 and all(out.grad is None for out in outputs)
+    assert all(t.grad is not None and t.grad.shape == t.shape for t in (x, w, b))
+    assert mask.grad is None
+    ad.reset_graph()
+
+
 def test_non_finite_adjoint_mid_graph_raises():
     # d(a/b)/db = -a/b**2 overflows at the intermediate b although every
     # forward value is finite; only the leaf x is checked, and must catch it

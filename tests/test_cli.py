@@ -212,6 +212,24 @@ def test_train_missing_config_file(workspace, tmp_path, capsys):
     assert code == 2
 
 
+def test_train_unreadable_config_file(workspace, tmp_path, capsys, monkeypatch):
+    config = workspace["config"]
+    read_text = Path.read_text
+
+    def refuse(path, *args, **kwargs):
+        if path == config:
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", refuse)  # root ignores file modes
+    code, pairs, err = run_cli(["train", "--data", workspace["data"], "--config", config,
+                                "--out", tmp_path / "run"], capsys)
+    assert code == 2
+    assert not pairs
+    assert_one_error_line(err)
+    assert f"cannot read config file {config}: Permission denied" in err
+
+
 def test_train_ablation_flag_recorded(workspace, tmp_path, capsys):
     out = tmp_path / "ablated"
     code, _, err = run_cli(["train", "--data", workspace["data"],
@@ -625,9 +643,16 @@ def test_sweep_huge_pet_voxel_is_input_error(workspace, tmp_path, capsys):
 # outputs that cannot be written
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started although --out cannot be created")
+
+
 @pytest.mark.parametrize("where", ["file", "file/sub", "taken"])
 @pytest.mark.parametrize("command", ["gen", "train", "eval", "sweep"])
-def test_unwritable_out_exits_2(workspace, tmp_path, capsys, command, where):
+def test_unwritable_out_exits_2(workspace, tmp_path, capsys, monkeypatch, command, where):
+    if where != "taken":  # the directory itself cannot be made: fail before any work
+        for name in ("train", "evaluate", "evaluate_sweep"):
+            monkeypatch.setattr(trainer, name, _no_work)
     (tmp_path / "file").write_text("keep\n")
     written = {"gen": "manifest.json", "train": "model.json", "eval": "metrics.json",
                "sweep": "sweep.csv"}[command]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from robsurv import cli, synthdata as sd
-from robsurv.errors import ConfigError, DataFormatError, IncompatibleInputError
+from robsurv.errors import ConfigError, DataFormatError, IncompatibleInputError, ShapeError
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +345,20 @@ def test_subset_preserves_alignment():
     assert np.array_equal(sub.ct[0], c.ct[5])
     assert np.array_equal(sub.pet[1], c.pet[2])
     assert sub.times.tolist() == [c.times[5], c.times[2]]
+
+
+@pytest.mark.parametrize("indices", [np.array([6, 1, 3]), [6, 1, 3], range(1, 7, 2)],
+                         ids=["array", "list", "range"])
+def test_subset_copies_every_field(indices):
+    c = small_cohort(n=8, seed=11)
+    sub = c.subset(indices)
+    rows = list(indices)
+    for field in ("patient_ids", "ct", "pet", "risk", "times", "events", "noisy"):
+        got, parent = getattr(sub, field), getattr(c, field)
+        assert np.array_equal(got, parent[rows])
+        assert not np.shares_memory(got, parent), field
+
+
+def test_subset_rejects_a_scalar_index():
+    with pytest.raises(ShapeError):  # a 0-d index would select one row as a view
+        small_cohort(n=4).subset(np.int64(2))

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,28 @@ def test_default_step_tape_length():
     assert len(ad.active_graph()) == 169
 
 
+def test_backward_peak_is_small_next_to_the_tape():
+    """Default config, batch 32: backward releases each adjoint once it is pulled."""
+    cfg = trainer.TrainConfig()
+    cohort = synthdata.generate_cohort(32, synthdata.CohortConfig(seed=4))
+    edges = np.arange(1.0, cfg.n_bins)
+    model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]), edges)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        bundle = model.losses(model.forward(cohort.ct, cohort.pet),
+                              trainer.assign_bins(cohort.times, edges), cohort.events)
+        taped = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ad.backward(bundle.total)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ad.active_graph()) == 169
+    # every non-leaf adjoint kept until the walk ends would be about the tape's size
+    assert peak - taped < 0.5 * (taped - before)
+
+
 # ---------------------------------------------------------------------------
 # training loop
 
@@ -401,6 +424,11 @@ def test_training_runs_and_losses_improve(trained):
         assert rep.codebook is not None
         assert rep.wall_clock > 0
         assert not rep.trained_with_noise
+
+
+def test_trained_model_holds_no_gradients(trained):
+    model, _ = trained
+    assert all(p.grad is None for p in model.params.values())
 
 
 def test_training_deterministic(cohort24, trained):
