@@ -3,7 +3,12 @@
 A flat, execution-ordered tape of primitive records is kept per thread
 as a plain list (`active_graph`); each record is ``(output, inputs,
 pull)``, where ``pull`` maps the output adjoint to one gradient array (or
-None) per input.  The pulls of add, sub, mul, div and linear, the
+None) per input.  Every primitive makes its output with ``_record(data,
+inputs, pull)``, which wraps the array and appends the record when an input
+needs a gradient.  ``_binary`` (add, sub, mul, div) and ``_unary`` (exp,
+log, sigmoid, relu, clip_passthrough, cumsum, cumprod) build a primitive
+from a forward function and gradient rules ``grad(g, x, y)``, and sum and
+mean share one reduction.  The pulls of add, sub, mul, div and linear, the
 primitives that take constant operands (masks, the positional table, input
 volumes), skip every operand without ``requires_grad``: they return None
 for it and never compute its gradient.  `backward` walks the tape once in
@@ -132,10 +137,10 @@ class Tensor:
         return detach(self)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce_sum(self, axis, keepdims)
+        return _reduce(self, axis, keepdims, mean=False)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return _reduce_mean(self, axis, keepdims)
+        return _reduce(self, axis, keepdims, mean=True)
 
     def max(self, axis: int) -> "Tensor":
         return _reduce_max(self, axis)
@@ -191,7 +196,8 @@ def as_tensor(value) -> Tensor:
     return _wrap(np.asarray(value, dtype=np.float64))
 
 
-def _record(out: Tensor, inputs: tuple, pull) -> Tensor:
+def _record(data: np.ndarray, inputs: tuple, pull) -> Tensor:
+    out = _wrap(data)
     st = _STATE
     if st.grad_enabled:
         for t in inputs:
@@ -206,6 +212,12 @@ def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NumericsError(f"{op} produced a non-finite value")
     return arr
+
+
+def _normalized_axis(axis: int, ndim: int) -> int:
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"axis {axis} out of range for ndim {ndim}")
+    return axis % ndim
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +266,13 @@ def _binary(op: str, a, b, fwd, grad_a, grad_b) -> Tensor:
         data = fwd(ta.data, tb.data)
     except ValueError as err:
         raise ShapeError(f"{op}: {err}") from None
-    out = _wrap(_ensure_finite(data, op))
 
     def pull(g):
         x, y = ta.data, tb.data
         return (_sum_to(grad_a(g, x, y), x.shape) if ta.requires_grad else None,
                 _sum_to(grad_b(g, x, y), y.shape) if tb.requires_grad else None)
 
-    return _record(out, (ta, tb), pull)
+    return _record(_ensure_finite(data, op), (ta, tb), pull)
 
 
 def _pass(g, x, y):
@@ -302,7 +313,6 @@ def linear(x, w, b=None) -> Tensor:
             raise ShapeError(f"linear bias must have shape ({tw.shape[1]},), got {tb.shape}")
         data += tb.data
         inputs = (tx, tw, tb)
-    out = _wrap(_ensure_finite(data, "linear"))
 
     def pull(g):
         gx = g @ tw.data.T if tx.requires_grad else None
@@ -314,7 +324,7 @@ def linear(x, w, b=None) -> Tensor:
             return gx, gw
         return gx, gw, _sum_to(g, tb.shape) if tb.requires_grad else None
 
-    return _record(out, inputs, pull)
+    return _record(_ensure_finite(data, "linear"), inputs, pull)
 
 
 def attention(q, k, v, n_heads: int) -> Tensor:
@@ -343,7 +353,6 @@ def attention(q, k, v, n_heads: int) -> Tensor:
     e = np.exp(scores - scores.max(axis=3, keepdims=True))
     weights = e / e.sum(axis=3, keepdims=True)               # (B, H, Pq, Pk)
     merged = (weights @ vh).transpose(0, 2, 1, 3).reshape(bq, pq, width)
-    out = _wrap(_ensure_finite(merged, "attention"))
 
     def pull(g):
         gh = g.reshape(bq, pq, n_heads, dk).transpose(0, 2, 1, 3)
@@ -355,73 +364,89 @@ def attention(q, k, v, n_heads: int) -> Tensor:
         return tuple(gt.transpose(0, 2, 1, 3).reshape(t.shape)
                      for gt, t in ((gq, tq), (gk, tk), (gv, tv)))
 
-    return _record(out, (tq, tk, tv), pull)
+    return _record(_ensure_finite(merged, "attention"), (tq, tk, tv), pull)
 
 
 # ---------------------------------------------------------------------------
 # unary elementwise primitives
 
-def exp(x) -> Tensor:
+def _unary(op: str, x, fwd, grad, finite: bool = False) -> Tensor:
+    """Record ``fwd(x)``; ``grad(g, x, y)`` gives the operand gradient from the
+    output adjoint, the operand and the output.  With ``finite`` set, a
+    non-finite output raises ``NumericsError`` and numpy's overflow warning is
+    off, so only the error reports it."""
     tx = as_tensor(x)
-    with np.errstate(over="ignore"):
-        data = np.exp(tx.data)
-    _ensure_finite(data, "exp")
-    out = _wrap(data)
-
-    def pull(g):
-        return (g * data,)
-
-    return _record(out, (tx,), pull)
+    if finite:
+        with np.errstate(over="ignore"):
+            data = _ensure_finite(fwd(tx.data), op)
+    else:
+        data = fwd(tx.data)
+    return _record(data, (tx,), lambda g: (grad(g, tx.data, data),))
 
 
-def log(x) -> Tensor:
-    tx = as_tensor(x)
-    if np.any(tx.data <= 0.0):
-        raise DomainError("log requires strictly positive operands")
-    data = np.log(tx.data)
-    out = _wrap(data)
-
-    def pull(g):
-        return (g / tx.data,)
-
-    return _record(out, (tx,), pull)
+def _positive(op: str, v: np.ndarray) -> np.ndarray:
+    if np.any(v <= 0.0):
+        raise DomainError(f"{op} requires strictly positive operands")
+    return v
 
 
-def sigmoid(x) -> Tensor:
-    tx = as_tensor(x)
-    v = tx.data
+def _sigmoid(v):
     data = np.empty_like(v)
     pos = v >= 0
     data[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
     ev = np.exp(v[~pos])
     data[~pos] = ev / (1.0 + ev)
-    out = _wrap(data)
+    return data
 
-    def pull(g):
-        return (g * data * (1.0 - data),)
 
-    return _record(out, (tx,), pull)
+def exp(x) -> Tensor:
+    return _unary("exp", x, np.exp, lambda g, x, y: g * y, finite=True)
+
+
+def log(x) -> Tensor:
+    return _unary("log", x, lambda v: np.log(_positive("log", v)), lambda g, x, y: g / x)
+
+
+def sigmoid(x) -> Tensor:
+    return _unary("sigmoid", x, _sigmoid, lambda g, x, y: g * y * (1.0 - y))
 
 
 def relu(x) -> Tensor:
+    return _unary("relu", x, lambda v: np.maximum(v, 0.0), lambda g, x, y: g * (x > 0.0))
+
+
+def clip_passthrough(x, lo: float | None = None, hi: float | None = None) -> Tensor:
+    """Clamp values into [lo, hi]; the gradient passes through unchanged."""
+    return _unary("clip_passthrough", x, lambda v: np.clip(v, lo, hi), _pass)
+
+
+# running accumulations: numpy accumulates sequentially, in axis order
+def _reverse_cumsum(g: np.ndarray, axis: int) -> np.ndarray:
+    return np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)
+
+
+def cumsum(x, axis: int) -> Tensor:
+    """Running sum along one axis."""
     tx = as_tensor(x)
-    data = np.maximum(tx.data, 0.0)
-    out = _wrap(data)
+    ax = _normalized_axis(axis, tx.ndim)
+    return _unary("cumsum", tx, lambda v: np.cumsum(v, axis=ax),
+                  lambda g, x, y: _reverse_cumsum(g, ax), finite=True)
 
-    def pull(g):
-        return (g * (tx.data > 0.0),)
 
-    return _record(out, (tx,), pull)
+def cumprod(x, axis: int) -> Tensor:
+    """Running product along one axis of strictly positive operands.
+
+    The gradient is the reversed running sum of ``g * out`` divided by the
+    operand, which is why the operand must be positive.
+    """
+    tx = as_tensor(x)
+    ax = _normalized_axis(axis, tx.ndim)
+    return _unary("cumprod", tx, lambda v: np.cumprod(_positive("cumprod", v), axis=ax),
+                  lambda g, x, y: _reverse_cumsum(g * y, ax) / x, finite=True)
 
 
 # ---------------------------------------------------------------------------
 # reductions
-
-def _normalized_axis(axis: int, ndim: int) -> int:
-    if not -ndim <= axis < ndim:
-        raise ShapeError(f"axis {axis} out of range for ndim {ndim}")
-    return axis % ndim
-
 
 def _expand_reduced(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
     g = np.asarray(g)
@@ -430,32 +455,19 @@ def _expand_reduced(g, shape: tuple, axis, keepdims: bool) -> np.ndarray:
     return np.broadcast_to(g, shape)
 
 
-def _reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def _reduce(x, axis, keepdims: bool, mean: bool) -> Tensor:
+    """Sum over ``axis`` (every axis when None); a mean then divides by the count."""
     tx = as_tensor(x)
     if axis is not None:
         axis = _normalized_axis(axis, tx.ndim)
-    data = tx.data.sum(axis=axis, keepdims=keepdims)
-    out = _wrap(np.asarray(data))
-
-    def pull(g):
-        return (_expand_reduced(g, tx.shape, axis, keepdims).copy(),)
-
-    return _record(out, (tx,), pull)
-
-
-def _reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
-    tx = as_tensor(x)
-    if axis is not None:
-        axis = _normalized_axis(axis, tx.ndim)
+    # what ndarray.sum and, for float64, ndarray.mean compute: a pairwise sum, then one division
+    data = np.add.reduce(tx.data, axis=axis, keepdims=keepdims)
+    if not mean:
+        return _record(np.asarray(data), (tx,),
+                       lambda g: (_expand_reduced(g, tx.shape, axis, keepdims).copy(),))
     count = tx.size if axis is None else tx.shape[axis]
-    # what ndarray.mean computes for float64: a pairwise sum, then one division
-    data = np.add.reduce(tx.data, axis=axis, keepdims=keepdims) / count
-    out = _wrap(np.asarray(data))
-
-    def pull(g):
-        return (_expand_reduced(g, tx.shape, axis, keepdims) / count,)
-
-    return _record(out, (tx,), pull)
+    return _record(np.asarray(data / count), (tx,),
+                   lambda g: (_expand_reduced(g, tx.shape, axis, keepdims) / count,))
 
 
 def _reduce_max(x, axis: int) -> Tensor:
@@ -464,14 +476,13 @@ def _reduce_max(x, axis: int) -> Tensor:
     ax = _normalized_axis(axis, tx.ndim)
     idx = np.expand_dims(np.argmax(tx.data, axis=ax), ax)
     data = np.take_along_axis(tx.data, idx, axis=ax).squeeze(ax)
-    out = _wrap(data)
 
     def pull(g):
         z = np.zeros_like(tx.data)
         np.put_along_axis(z, idx, np.expand_dims(g, ax), axis=ax)
         return (z,)
 
-    return _record(out, (tx,), pull)
+    return _record(data, (tx,), pull)
 
 
 def l2norm(x, axis: int) -> Tensor:
@@ -483,7 +494,6 @@ def l2norm(x, axis: int) -> Tensor:
     axis = _normalized_axis(axis, tx.ndim)
     sq = (tx.data * tx.data).sum(axis=axis)
     data = np.sqrt(sq)
-    out = _wrap(np.asarray(data))
 
     def pull(g):
         norm_e = _expand_reduced(data, tx.shape, axis, False)
@@ -492,46 +502,7 @@ def l2norm(x, axis: int) -> Tensor:
             frac = np.where(norm_e > 0.0, tx.data / np.where(norm_e == 0.0, 1.0, norm_e), 0.0)
         return (g_e * frac,)
 
-    return _record(out, (tx,), pull)
-
-
-# ---------------------------------------------------------------------------
-# running accumulations (numpy accumulates sequentially, in axis order)
-
-def _reverse_cumsum(g: np.ndarray, axis: int) -> np.ndarray:
-    return np.flip(np.cumsum(np.flip(g, axis), axis=axis), axis)
-
-
-def cumsum(x, axis: int) -> Tensor:
-    """Running sum along one axis."""
-    tx = as_tensor(x)
-    ax = _normalized_axis(axis, tx.ndim)
-    data = _ensure_finite(np.cumsum(tx.data, axis=ax), "cumsum")
-    out = _wrap(data)
-
-    def pull(g):
-        return (_reverse_cumsum(g, ax),)
-
-    return _record(out, (tx,), pull)
-
-
-def cumprod(x, axis: int) -> Tensor:
-    """Running product along one axis of strictly positive operands.
-
-    The gradient is the reversed running sum of ``g * out`` divided by the
-    operand, which is why the operand must be positive.
-    """
-    tx = as_tensor(x)
-    if np.any(tx.data <= 0.0):
-        raise DomainError("cumprod requires strictly positive operands")
-    ax = _normalized_axis(axis, tx.ndim)
-    data = _ensure_finite(np.cumprod(tx.data, axis=ax), "cumprod")
-    out = _wrap(data)
-
-    def pull(g):
-        return (_reverse_cumsum(g * data, ax) / tx.data,)
-
-    return _record(out, (tx,), pull)
+    return _record(np.asarray(data), (tx,), pull)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +515,6 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     except ValueError as err:  # numpy's AxisError is a ValueError
         raise ShapeError(f"concat: {err}") from None
     ax = axis % data.ndim
-    out = _wrap(data)
     pieces, start = [], 0
     for t in ts:
         pieces.append((slice(None),) * ax + (slice(start, start + t.shape[ax]),))
@@ -553,7 +523,7 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
     def pull(g):
         return tuple(g[piece] for piece in pieces)
 
-    return _record(out, tuple(ts), pull)
+    return _record(data, tuple(ts), pull)
 
 
 def rearrange(x, shape_in, perm, shape_out) -> Tensor:
@@ -565,7 +535,6 @@ def rearrange(x, shape_in, perm, shape_out) -> Tensor:
     except ValueError as err:  # numpy's AxisError is a ValueError
         raise ShapeError(f"cannot rearrange {tx.shape} via {shape_in}, {perm} "
                          f"to {shape_out}: {err}") from None
-    out = _wrap(data)
     mid = moved.shape
 
     def pull(g):
@@ -573,7 +542,7 @@ def rearrange(x, shape_in, perm, shape_out) -> Tensor:
         inverse = np.argsort(np.mod(perm, len(mid)))
         return (g.reshape(mid).transpose(inverse).reshape(tx.shape),)
 
-    return _record(out, (tx,), pull)
+    return _record(data, (tx,), pull)
 
 
 def reshape(x, shape) -> Tensor:
@@ -595,14 +564,13 @@ def slice_along(x, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice [{start}:{stop}] invalid for axis of size {dim}")
     sl = tuple(slice(None) if i != ax else slice(start, stop) for i in range(tx.ndim))
     data = tx.data[sl].copy()
-    out = _wrap(data)
 
     def pull(g):
         z = np.zeros_like(tx.data)
         z[sl] = g
         return (z,)
 
-    return _record(out, (tx,), pull)
+    return _record(data, (tx,), pull)
 
 
 def take_rows(matrix, indices) -> Tensor:
@@ -616,7 +584,6 @@ def take_rows(matrix, indices) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= tm.shape[0]):
         raise ShapeError("take_rows index out of range")
     data = tm.data[idx]
-    out = _wrap(data)
 
     def pull(g):
         # bincount adds each bin's weights in index order, as np.add.at does
@@ -624,7 +591,7 @@ def take_rows(matrix, indices) -> Tensor:
         flat = (idx.reshape(-1, 1).astype(np.intp) * width + np.arange(width)).reshape(-1)
         return (np.bincount(flat, weights=g.reshape(-1), minlength=tm.size).reshape(tm.shape),)
 
-    return _record(out, (tm,), pull)
+    return _record(data, (tm,), pull)
 
 
 def detach(x) -> Tensor:
@@ -643,24 +610,7 @@ def straight_through(flow, values) -> Tensor:
     tf, tv = as_tensor(flow), as_tensor(values)
     if tf.shape != tv.shape:
         raise ShapeError(f"straight_through shapes differ: {tf.shape} vs {tv.shape}")
-    out = _wrap(tv.data.copy())
-
-    def pull(g):
-        return (g, None)
-
-    return _record(out, (tf, tv), pull)
-
-
-def clip_passthrough(x, lo: float | None = None, hi: float | None = None) -> Tensor:
-    """Clamp values into [lo, hi]; the gradient passes through unchanged."""
-    tx = as_tensor(x)
-    data = np.clip(tx.data, lo, hi)
-    out = _wrap(data)
-
-    def pull(g):
-        return (g,)
-
-    return _record(out, (tx,), pull)
+    return _record(tv.data.copy(), (tf, tv), lambda g: (g, None))
 
 
 # ---------------------------------------------------------------------------

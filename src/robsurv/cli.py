@@ -179,7 +179,14 @@ def _noise_from_flags(ct_sigma: float, pet: str, fraction: float) -> NoiseSpec |
     return None if spec.is_clean else spec
 
 
+def _check_seeds(seeds: list, flag: str) -> None:
+    """Noise seeds feed numpy's generators, which take no negative integer."""
+    if min(seeds) < 0:
+        raise ConfigError(f"{flag} must be non-negative, got {min(seeds)}")
+
+
 def cmd_eval(args) -> None:
+    _check_seeds([args.noise_seed], "--noise-seed")
     model = trainer.SurvivalModel.load(args.model)
     cohort = load_cohort(args.data)
     spec = _noise_from_flags(args.noise_ct, args.noise_pet, args.noise_frac)
@@ -230,6 +237,7 @@ def cmd_sweep(args) -> None:
     cohort = load_cohort(args.data)
     fractions = _parse_list(args.fractions, float, "fractions")
     seeds = _parse_list(args.seeds, int, "seeds")
+    _check_seeds(seeds, "--seeds")
     threads = _thread_budget()
     out_dir = ensure_dir(args.out)
     scores = trainer.evaluate_sweep(

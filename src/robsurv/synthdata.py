@@ -32,6 +32,7 @@ PET_LEVELS = ("low", "medium", "high")
 POISSON_SCALES = {"low": 10000.0, "medium": 1000.0, "high": 100.0}
 
 FORMAT_VERSION = 1
+_INT64_MAX = np.iinfo(np.int64).max  # ids and time bins are stored as int64
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ class CohortConfig:
             raise ConfigError("n_risks must be 1 or 2")
         if not 0.0 <= self.censor_rate < 1.0:
             raise ConfigError("censor_rate must lie in [0, 1)")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -210,21 +213,25 @@ def noise_order(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng([seed, 5]).permutation(n)
 
 
+def noisy_rows(n: int, spec: NoiseSpec, seed: int) -> np.ndarray:
+    """The rows a noise mix corrupts: the first floor(fraction*n) entries of
+    ``noise_order(n, seed)``, or none when ``spec`` changes no volume."""
+    m = 0 if spec.is_clean else int(np.floor(spec.noisy_fraction * n))
+    return noise_order(n, seed)[:m]
+
+
 def apply_noise_mix(cohort: SyntheticCohort, spec: NoiseSpec, seed: int) -> SyntheticCohort:
-    """Corrupt the first floor(fraction*n) rows of ``noise_order(n, seed)``.
+    """Corrupt the rows ``noisy_rows(n, spec, seed)`` and mark them ``noisy``.
 
     Selected patients get both the CT and the PET corruption; outcomes are
     untouched.  Per-patient noise streams derive from (seed, patient id),
     so the same call is bit-reproducible and insensitive to cohort order,
     and a corrupted row does not depend on the fraction.
     """
-    n = cohort.n
-    m = int(np.floor(spec.noisy_fraction * n))
-    chosen = noise_order(n, seed)[:m]
     ct = cohort.ct.copy()
     pet = cohort.pet.copy()
     noisy = cohort.noisy.copy()
-    for row in chosen:
+    for row in noisy_rows(cohort.n, spec, seed):
         pid = int(cohort.patient_ids[row])
         if spec.ct_sigma > 0:
             ct[row] = gaussian_noise(ct[row], spec.ct_sigma, [seed, pid, 11])
@@ -274,9 +281,9 @@ def load_cohort(data_dir) -> SyntheticCohort:
     """Read a cohort written by ``save_cohort``.  A missing, unreadable,
     truncated or inconsistent file raises ``DataFormatError``: besides
     unparseable fields, that covers a manifest ``format_version`` other than
-    ``FORMAT_VERSION``, a repeated patient id, a time bin below 1, an event
-    code outside 0..n_risks, a noisy flag other than 0/1 and a non-finite
-    voxel.
+    ``FORMAT_VERSION``, a patient id or time bin outside the int64 range
+    (ids start at 0, bins at 1), a repeated patient id, an event code outside
+    0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
     """
     data_dir = Path(data_dir)
     try:
@@ -320,8 +327,12 @@ def load_cohort(data_dir) -> SyntheticCohort:
         if pid in seen:
             raise DataFormatError(f"outcomes.csv lists patient_id {pid} twice")
         seen.add(pid)
-        if t < 1:
-            raise DataFormatError(f"outcomes.csv: patient {pid} has time_bin {t}, bins start at 1")
+        # an id seeds the patient's noise stream, which takes no negative integer
+        if not 0 <= pid <= _INT64_MAX:
+            raise DataFormatError(f"outcomes.csv: patient_id {pid} is outside 0..{_INT64_MAX}")
+        if not 1 <= t <= _INT64_MAX:
+            raise DataFormatError(f"outcomes.csv: patient {pid} has time_bin {t}, "
+                                  f"bins run from 1 to {_INT64_MAX}")
         if not 0 <= e <= config.n_risks:
             raise DataFormatError(f"outcomes.csv: patient {pid} has event {e}, "
                                   f"manifest allows 0..{config.n_risks}")

@@ -38,7 +38,7 @@ from .errors import (
 )
 from .fileio import atomic_bytes
 from .optim import Adam
-from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noise_order
+from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noisy_rows
 
 MODEL_FORMAT_VERSION = 2
 
@@ -95,6 +95,8 @@ class TrainConfig:
             raise ConfigError("n_bins and n_risks must be positive")
         if not self.rank_sigma > 0:
             raise ConfigError("rank_sigma must be positive")
+        if self.seed < 0:  # numpy's generators take no negative seed
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.risk_weights is not None and len(self.risk_weights) != self.n_risks:
             raise ConfigError("risk_weights must have one entry per risk")
         self.fusion.n_patches(self.encoder)  # latent grid must split into whole patches
@@ -677,9 +679,9 @@ def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, see
     cells = []
     for spec in specs:
         for seed in seeds:
-            m = 0 if spec.is_clean else int(np.floor(spec.noisy_fraction * n))
+            rows = noisy_rows(n, spec, seed)
             mask = np.zeros(n, dtype=bool)
-            mask[noise_order(n, seed)[:m]] = True
-            values = np.where(mask[:, None, None], noisy[seed], clean) if m else clean
+            mask[rows] = True
+            values = np.where(mask[:, None, None], noisy[seed], clean) if rows.size else clean
             cells.append(_c_td(model, cohort, binned, values))
     return cells

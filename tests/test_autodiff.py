@@ -83,6 +83,16 @@ def test_exp_overflow_raises():
         ad.exp(ad.Tensor(1e4))
 
 
+@pytest.mark.parametrize("op,values", [("cumsum", [1e308, 1e308]), ("cumprod", [1e200, 1e200])])
+def test_accumulation_overflow_raises(op, values):
+    # as for exp, the error alone reports the overflow: numpy prints no warning first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericsError, match=op):
+            getattr(ad, op)(ad.Tensor(values), axis=0)
+    assert caught == []
+
+
 def test_log_domain():
     with pytest.raises(DomainError):
         ad.log(ad.Tensor([1.0, -1.0]))
@@ -253,6 +263,58 @@ def test_no_grad_records_nothing():
         y = ad.sigmoid(x * 3.0)
     assert len(ad.active_graph()) == before
     assert not y.requires_grad
+
+
+# names in ad.__all__ that make no tape record: constructors, graph helpers
+# and detach, which cuts the graph
+NOT_RECORDED = {
+    "Tensor", "as_tensor", "linear_spec", "init_params",
+    "active_graph", "reset_graph", "no_grad", "backward", "detach",
+}
+
+# name -> (call, operand shapes); operands are drawn positive, inside every domain
+RECORDING_CASES = {
+    "add": (ad.add, [(3, 4), (4,)]),
+    "sub": (ad.sub, [(3, 4), (4,)]),
+    "mul": (ad.mul, [(3, 4), (4,)]),
+    "div": (ad.div, [(3, 4), (4,)]),
+    "linear": (ad.linear, [(3, 4), (4, 2), (2,)]),
+    "attention": (lambda q, k, v: ad.attention(q, k, v, 2), [(1, 3, 4), (1, 5, 4), (1, 5, 4)]),
+    "exp": (ad.exp, [(3, 4)]),
+    "log": (ad.log, [(3, 4)]),
+    "sigmoid": (ad.sigmoid, [(3, 4)]),
+    "relu": (ad.relu, [(3, 4)]),
+    "clip_passthrough": (lambda x: ad.clip_passthrough(x, 0.6, 1.2), [(3, 4)]),
+    "cumsum": (lambda x: ad.cumsum(x, 1), [(3, 4)]),
+    "cumprod": (lambda x: ad.cumprod(x, -1), [(3, 4)]),
+    "l2norm": (lambda x: ad.l2norm(x, 1), [(3, 4)]),
+    "Tensor.sum": (lambda x: x.sum(axis=0), [(3, 4)]),
+    "Tensor.mean": (lambda x: x.mean(), [(3, 4)]),
+    "Tensor.max": (lambda x: x.max(axis=1), [(3, 4)]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1), [(3, 4), (3, 2)]),
+    "reshape": (lambda x: ad.reshape(x, (4, 3)), [(3, 4)]),
+    "transpose": (lambda x: ad.transpose(x, (1, 0)), [(3, 4)]),
+    "rearrange": (lambda x: ad.rearrange(x, (3, 2, 2), (1, 0, 2), (2, 6)), [(3, 4)]),
+    "slice_along": (lambda x: ad.slice_along(x, 1, 1, 3), [(3, 4)]),
+    "take_rows": (lambda m: ad.take_rows(m, np.array([2, 0, 2])), [(3, 4)]),
+    "straight_through": (ad.straight_through, [(3, 4), (3, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(set(ad.__all__) - NOT_RECORDED)
+                         + ["Tensor.max", "Tensor.mean", "Tensor.sum"])
+def test_primitive_records_only_for_a_leaf(name):
+    """Constant operands make a constant output and no record; one leaf among
+    them makes exactly one record, whose output is the returned tensor."""
+    call, shapes = RECORDING_CASES[name]
+    arrays = [rng_for(len(name)).uniform(0.5, 1.5, size=shape) for shape in shapes]
+    ad.reset_graph()
+    out = call(*(ad.Tensor(a) for a in arrays))
+    assert not out.requires_grad and ad.active_graph() == []
+    out = call(ad.Tensor(arrays[0], requires_grad=True), *(ad.Tensor(a) for a in arrays[1:]))
+    assert out.requires_grad
+    assert [record[0] for record in ad.active_graph()] == [out]
+    ad.reset_graph()
 
 
 def test_tape_order_is_execution_order():

@@ -99,6 +99,19 @@ def test_gen_bad_censor_rate(tmp_path, capsys):
     assert code == 2
 
 
+def assert_negative_seed_rejected(code: int, err: str, seed: int) -> None:
+    assert code == 2
+    assert_one_error_line(err)
+    assert "seed" in err and str(seed) in err
+
+
+def test_gen_negative_seed(tmp_path, capsys):
+    code, _, err = run_cli(["gen", "--n", "4", "--side", "8", "--seed", "-1",
+                            "--out", tmp_path / "x"], capsys)
+    assert_negative_seed_rejected(code, err, -1)
+    assert not (tmp_path / "x").exists()
+
+
 def test_missing_required_flag_is_usage_error(capsys):
     assert run_cli(["gen", "--n", "4"], capsys)[0] == 2  # no --out
     assert run_cli(["train", "--out", "/tmp/x"], capsys)[0] == 2  # no --data
@@ -205,6 +218,14 @@ def test_train_bad_outcomes_csv(workspace, tmp_path, capsys, damage):
     assert_one_error_line(err)
 
 
+def test_train_negative_seed_in_config(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "seed": -1}))
+    code, _, err = run_cli(["train", "--data", workspace["data"], "--config", cfg,
+                            "--out", tmp_path / "run"], capsys)
+    assert_negative_seed_rejected(code, err, -1)
+
+
 def test_train_missing_config_file(workspace, tmp_path, capsys):
     code, _, _ = run_cli(["train", "--data", workspace["data"],
                           "--config", tmp_path / "nope.json",
@@ -308,6 +329,13 @@ def test_eval_noise_applied_and_reproducible(workspace, tmp_path, capsys):
     metrics = json.loads((a / "metrics.json").read_text())
     assert metrics["n_noisy"] == 6
     assert metrics["noise"]["pet_level"] == "high"
+
+
+def test_eval_negative_noise_seed(workspace, tmp_path, capsys):
+    code, _, err = run_cli(["eval", "--model", workspace["model"], "--data", workspace["data"],
+                            "--noise-ct", "0.1", "--noise-pet", "high", "--noise-frac", "0.5",
+                            "--noise-seed", "-3", "--out", tmp_path / "x"], capsys)
+    assert_negative_seed_rejected(code, err, -3)
 
 
 def test_eval_invalid_noise_flags(workspace, tmp_path, capsys):
@@ -527,6 +555,13 @@ def test_sweep_bad_lists(workspace, tmp_path, capsys):
     assert run_cli(base + ["--fractions", "0.5", "--seeds", "0.5"], capsys)[0] == 2
 
 
+def test_sweep_negative_seed(workspace, tmp_path, capsys):
+    code, _, err = run_cli(["sweep", "--model", workspace["model"], "--data", workspace["data"],
+                            "--fractions", "0,0.5", "--seeds", "0,-1",
+                            "--out", tmp_path / "x"], capsys)
+    assert_negative_seed_rejected(code, err, -1)
+
+
 def test_sweep_bad_thread_budget(workspace, tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ROBSURV_THREADS", "zero")
     code, _, _ = run_cli(["sweep", "--model", workspace["model"],
@@ -575,6 +610,16 @@ def _first_patient_id(data: Path) -> str:
     return (data / "outcomes.csv").read_text().splitlines()[1].split(",")[0]
 
 
+def _negate_patient_id(data: Path, row: int = 2) -> None:
+    """Make the id on ``row`` negative and rename its volumes to match, so
+    that only the sign is wrong; the row must not hold patient 0."""
+    pid = (data / "outcomes.csv").read_text().splitlines()[row].split(",")[0]
+    assert int(pid) > 0
+    for modality in ("ct", "pet"):
+        (data / f"{pid}_{modality}.f32").rename(data / f"-{pid}_{modality}.f32")
+    _set_outcome(data, "patient_id", f"-{pid}", row=row)
+
+
 # fault name -> damage applied to a copy of (cohort directory, model.json)
 FAULTS = {
     "manifest-delete": lambda d, m: (d / "manifest.json").unlink(),
@@ -586,12 +631,16 @@ FAULTS = {
     "manifest-directory": lambda d, m: _replace_with_directory(d / "manifest.json"),
     "manifest-version-bool": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p.__setitem__("format_version", True)),
+    "manifest-seed-negative": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p["cohort"].__setitem__("seed", -1)),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
     "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
     "outcomes-duplicate-id": lambda d, m: _set_outcome(
         d, "patient_id", _first_patient_id(d), row=2),
     "outcomes-event": lambda d, m: _set_outcome(d, "event", 9),
     "outcomes-time-bin": lambda d, m: _set_outcome(d, "time_bin", -3),
+    "outcomes-time-bin-huge": lambda d, m: _set_outcome(d, "time_bin", 10**30),
+    "outcomes-id-negative": lambda d, m: _negate_patient_id(d),
     "outcomes-noisy": lambda d, m: _set_outcome(d, "noisy", 2),
     "volume-delete": lambda d, m: (d / "0_ct.f32").unlink(),
     "volume-truncate": lambda d, m: _truncate(d / "0_ct.f32"),

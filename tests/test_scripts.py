@@ -29,3 +29,9 @@ def test_noise_robustness_prints_every_fraction():
     rows = [line.split() for line in done.stdout.splitlines()]
     fractions = [row[0] for row in rows if len(row) == 3 and row[0][0].isdigit()]
     assert fractions == ["0.10", "0.25", "0.50", "0.75", "1.00"]
+
+
+def test_step_digest_is_reproducible():
+    first, second = (run_script("step_digest.py").stdout.splitlines() for _ in range(2))
+    assert first == second
+    assert len(first) == 10 and all("sha256=" in line for line in first)

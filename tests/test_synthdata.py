@@ -32,6 +32,8 @@ def test_cohort_config_domains():
         sd.CohortConfig(n_risks=3)
     with pytest.raises(ConfigError):
         sd.CohortConfig(censor_rate=1.0)
+    with pytest.raises(ConfigError, match="seed"):
+        sd.CohortConfig(seed=-1)
     with pytest.raises(ConfigError):
         sd.generate_cohort(1, sd.CohortConfig())
 
@@ -221,6 +223,16 @@ def test_mix_fraction_zero_is_identity():
     assert np.array_equal(out.ct, c.ct)
     assert np.array_equal(out.pet, c.pet)
     assert not out.noisy.any()
+
+
+def test_mix_without_noise_levels_marks_no_one():
+    """A spec with a fraction but no noise level changes no volume, so no row
+    may be marked noisy either."""
+    c = small_cohort()
+    out = sd.apply_noise_mix(c, sd.NoiseSpec(0.0, None, 0.5), seed=9)
+    assert out.ct.tobytes() == c.ct.tobytes() and out.pet.tobytes() == c.pet.tobytes()
+    assert not out.noisy.any()
+    assert sd.noisy_rows(c.n, sd.NoiseSpec(0.0, None, 0.5), seed=9).size == 0
 
 
 def test_mix_fraction_one_marks_everyone():

@@ -62,6 +62,7 @@ def trained(cohort24):
     dict(n_bins=0),
     dict(rank_sigma=0.0),
     dict(risk_weights=(1.0, 2.0)),  # n_risks stays 1
+    dict(seed=-1),
 ])
 def test_config_rejects(bad):
     with pytest.raises(ConfigError):
@@ -378,13 +379,19 @@ def test_predict_rows_independent(n_risks, use_quantization):
 
 
 def test_default_step_tape_length():
-    """Deterministic guard on the per-step tape: default config, batch 2, one ranked pair."""
-    cfg = trainer.TrainConfig()
+    """Deterministic guard on the per-step tape at batch 2 with one ranked pair:
+    the default config and each of the three ablations."""
     cohort = synthdata.generate_cohort(2, synthdata.CohortConfig(seed=4))
-    model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]), np.arange(1.0, cfg.n_bins))
-    bundle = model.losses(model.forward(cohort.ct, cohort.pet), np.array([2, 5]), np.array([1, 0]))
-    assert bundle.ranking.item() > 0.0
-    assert len(ad.active_graph()) == 169
+    for ablation, length in [({}, 169), ({"use_quantization": False}, 120),
+                             ({"use_continuous": False}, 146), ({"use_cross_fusion": False}, 134)]:
+        cfg = trainer.TrainConfig(**ablation)
+        model = trainer.SurvivalModel.init(cfg, np.random.default_rng([0, 1]),
+                                           np.arange(1.0, cfg.n_bins))
+        ad.reset_graph()
+        bundle = model.losses(model.forward(cohort.ct, cohort.pet), np.array([2, 5]),
+                              np.array([1, 0]))
+        assert bundle.ranking.item() > 0.0
+        assert len(ad.active_graph()) == length, ablation
 
 
 def test_backward_peak_is_small_next_to_the_tape():
