@@ -2,10 +2,27 @@
 
 β1, β2 and ε are the defaults of Kingma & Ba (arXiv:1412.6980); only the
 learning rate is set per run.
+
+The update is the restated form of Kingma & Ba §2 (the reordering after
+Algorithm 1): ``Adam.m`` and ``Adam.v`` hold the moments divided by
+(1-β1) and (1-β2), ``m' = β1*m' + g`` and ``v' = β2*v' + g*g``, and both
+bias corrections fold into one step size and one ε per step::
+
+    c   = sqrt((1-β2) / (1-β2^t))
+    ε_t = ε / c
+    s_t = lr * (1-β1) / ((1-β1^t) * c)
+    p  -= s_t * m' / (sqrt(v') + ε_t)
+
+This equals the textbook ``p -= lr*m̂/(sqrt(v̂)+ε)`` in exact arithmetic
+but not to the bit.  It takes 10 passes over the parameters instead of
+14: on the model's 52 parameter arrays (436k floats), an isolated step
+took 3.9–4.5 ms in the textbook form and takes 2.8–3.2 ms in this one
+(2-vCPU Xeon KVM guest, numpy 2.4.6, one BLAS thread).
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,36 +39,34 @@ EPS = 1e-8
 def adam_update(param: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
                 step_index: int, lr: float,
                 scratch: tuple[np.ndarray, np.ndarray]) -> None:
-    """One bias-corrected Adam update, in place.  ``step_index`` is 1-based.
+    """One restated Adam update, in place.  ``step_index`` is 1-based.
 
+    ``m`` and ``v`` are the rescaled moments of the module docstring.
     ``scratch`` is a pair of 1-D float64 buffers of at least ``param.size``
-    entries, so the update allocates nothing.  The operations run in the
-    order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + ((1-b2)*g)*g``,
-    ``p -= (lr*m_hat) / (sqrt(v_hat) + eps)``, so the result is the same to
-    the bit as that out-of-place formula.
+    entries, so the update allocates nothing.
     """
     if grad.shape != param.shape or m.shape != param.shape or v.shape != param.shape:
         raise ShapeError(f"adam buffers disagree with param shape {param.shape}")
+    c = math.sqrt((1.0 - BETA2) / (1.0 - BETA2 ** step_index))
+    eps_t = EPS / c
+    s_t = lr * (1.0 - BETA1) / ((1.0 - BETA1 ** step_index) * c)
     a = scratch[0][:param.size].reshape(param.shape)
     b = scratch[1][:param.size].reshape(param.shape)
-    np.multiply(grad, 1.0 - BETA1, out=a)
     m *= BETA1
-    m += a
-    np.multiply(grad, 1.0 - BETA2, out=a)
-    a *= grad
+    m += grad
+    np.multiply(grad, grad, out=a)
     v *= BETA2
     v += a
-    np.divide(v, 1.0 - BETA2 ** step_index, out=b)
-    np.sqrt(b, out=b)
-    b += EPS
-    np.divide(m, 1.0 - BETA1 ** step_index, out=a)
-    a *= lr
-    a /= b
+    np.sqrt(v, out=b)
+    b += eps_t
+    np.divide(m, b, out=a)
+    a *= s_t
     param -= a
 
 
 class Adam:
     """Holds first/second moment slots aligned with a fixed parameter list.
+    ``m`` and ``v`` hold the moments divided by (1-β1) and (1-β2).
 
     Parameters whose ``grad`` is None at step time are skipped entirely,
     which leaves both their values and their moment buffers untouched.

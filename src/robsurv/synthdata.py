@@ -277,13 +277,19 @@ def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
     atomic_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
+_MANIFEST_TYPES = {"volume_side": (int,), "n": (int,), "n_risks": (int,), "seed": (int,),
+                   "censor_rate": (int, float)}
+
+
 def load_cohort(data_dir) -> SyntheticCohort:
     """Read a cohort written by ``save_cohort``.  A missing, unreadable,
     truncated or inconsistent file raises ``DataFormatError``: besides
     unparseable fields, that covers a manifest ``format_version`` other than
-    ``FORMAT_VERSION``, a patient id or time bin outside the int64 range
-    (ids start at 0, bins at 1), a repeated patient id, an event code outside
-    0..n_risks, a noisy flag other than 0/1 and a non-finite voxel.
+    ``FORMAT_VERSION``, a manifest count, side, risk count or seed that is not
+    a JSON integer, a censor rate that is not a JSON number, a patient id or
+    time bin outside the int64 range (ids start at 0, bins at 1), a repeated
+    patient id, an event code outside 0..n_risks, a noisy flag other than 0/1
+    and a non-finite voxel.
     """
     data_dir = Path(data_dir)
     try:
@@ -293,14 +299,19 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raise DataFormatError(f"cohort format {version!r}, "
                                   f"but only format {FORMAT_VERSION} can be read")
         info = manifest["cohort"]
-        side = int(info["volume_side"])
+        # a JSON float, string or bool is damage, not a value to coerce
+        for key, kinds in _MANIFEST_TYPES.items():
+            if type(info[key]) not in kinds:
+                kind = "integer" if kinds == (int,) else "number"
+                raise DataFormatError(f"manifest {key} is {info[key]!r}, not a JSON {kind}")
+        side = info["volume_side"]
         config = CohortConfig(
             volume_side=side,
-            n_risks=int(info["n_risks"]),
+            n_risks=info["n_risks"],
             censor_rate=float(info["censor_rate"]),
-            seed=int(info["seed"]),
+            seed=info["seed"],
         )
-        expected_n = int(info["n"])
+        expected_n = info["n"]
     except FileNotFoundError:
         raise DataFormatError(f"no manifest.json in {data_dir}") from None
     except OSError as err:

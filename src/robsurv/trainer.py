@@ -437,6 +437,7 @@ class FoldReport:
     best_val_ctd: float
     train_losses: list
     val_ctd: list
+    undefined_val_epochs: int      # epochs whose val_ctd is 0.5 for want of a comparable pair
     clean_ctd: float
     noisy_ctd: float
     codebook: dict | None          # modality -> {perplexity, dead_entries}
@@ -448,11 +449,13 @@ class FoldReport:
 
 
 def _validation_ctd(values: np.ndarray, cohort: SyntheticCohort,
-                    binned_times: np.ndarray) -> float:
+                    binned_times: np.ndarray) -> tuple[float, bool]:
+    """Cause-1 concordance and whether it is defined; a split with no
+    comparable pair scores 0.5, the concordance of a constant prediction."""
     try:
-        return stats.concordance(values, binned_times, cohort.events, cause=1)
+        return stats.concordance(values, binned_times, cohort.events, cause=1), True
     except UndefinedMetricError:
-        return 0.5
+        return 0.5, False
 
 
 def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainConfig,
@@ -468,6 +471,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     patience_left = config.patience
     train_losses: list[float] = []
     val_scores: list[float] = []
+    undefined_epochs = 0
 
     n = train_co.n
     for epoch in range(config.epochs):
@@ -498,7 +502,8 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))
         values, _, usage = model.predict(val_co.ct, val_co.pet)
-        score = _validation_ctd(values, val_co, t_val)
+        score, defined = _validation_ctd(values, val_co, t_val)
+        undefined_epochs += not defined
         val_scores.append(score)
         if score > best_score:
             best_score = score
@@ -514,7 +519,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     # holds the restored model's clean score and codebook usage
     model.restore(best_snap)
     noisy_val = apply_noise_mix(val_co, config.train_noise, seed=config.seed * 1009 + fold)
-    noisy_ctd = _validation_ctd(model.predict(noisy_val.ct, noisy_val.pet)[0], noisy_val, t_val)
+    noisy_ctd, _ = _validation_ctd(model.predict(noisy_val.ct, noisy_val.pet)[0], noisy_val, t_val)
 
     codebook = None
     if config.use_quantization:
@@ -526,7 +531,8 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     report = FoldReport(
         fold=fold, epochs_run=len(train_losses), best_epoch=best_epoch,
         best_val_ctd=float(best_score), train_losses=train_losses,
-        val_ctd=val_scores, clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
+        val_ctd=val_scores, undefined_val_epochs=undefined_epochs,
+        clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
         codebook=codebook, trained_with_noise=config.train_with_noise,
         wall_clock=time.perf_counter() - started,
     )

@@ -633,6 +633,10 @@ FAULTS = {
         d / "manifest.json", lambda p: p.__setitem__("format_version", True)),
     "manifest-seed-negative": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p["cohort"].__setitem__("seed", -1)),
+    "manifest-side-float": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p["cohort"].__setitem__("volume_side", 8.9)),
+    "manifest-seed-string": lambda d, m: _edit_json(
+        d / "manifest.json", lambda p: p["cohort"].__setitem__("seed", "1")),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
     "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
     "outcomes-duplicate-id": lambda d, m: _set_outcome(

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,13 @@ from robsurv.optim import Adam, adam_update
 # Kingma & Ba defaults, written out independently of robsurv.optim
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
+# relative tolerance of the restated update against the textbook formula:
+# the two differ only by rounding (8e-14 at most over the 60 steps below)
+TEXTBOOK_RTOL = 1e-12
+
 
 def reference_adam(param, grads, lr):
-    """Independent loop-and-formula reimplementation used as the oracle."""
+    """Textbook loop-and-formula Adam (Kingma & Ba, Algorithm 1)."""
     p = param.copy()
     m = np.zeros_like(p)
     v = np.zeros_like(p)
@@ -23,18 +29,56 @@ def reference_adam(param, grads, lr):
     return p
 
 
-def test_matches_reference_over_steps():
-    rng = np.random.default_rng(11)
-    start = rng.normal(size=(4, 3))
-    grads = [rng.normal(size=(4, 3)) for _ in range(5)]
+def restated_adam(param, grads, lr):
+    """The restated recurrence (moments over 1-β, folded bias corrections),
+    out of place; the bitwise oracle for ``adam_update``.  Returns p, m, v."""
+    p = param.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = BETA1 * m + g
+        v = BETA2 * v + g * g
+        c = math.sqrt((1 - BETA2) / (1 - BETA2 ** t))
+        step = lr * (1 - BETA1) / ((1 - BETA1 ** t) * c)
+        p = p - (m / (np.sqrt(v) + EPS / c)) * step
+    return p, m, v
 
+
+def mixed_grads(shape, steps, seed):
+    """Gradients spanning 1e-9..1e3 in magnitude with one entry always zero."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-9, 4, size=shape)
+    grads = []
+    for _ in range(steps):
+        g = rng.normal(size=shape) * scale
+        g.flat[0] = 0.0
+        grads.append(g)
+    return grads
+
+
+def run_adam(start, grads, lr):
     p = ad.Tensor(start, requires_grad=True)
-    opt = Adam([p], lr=1e-2)
+    opt = Adam([p], lr=lr)
     for g in grads:
         p.grad = g.copy()
         opt.step()
+    return p.data, opt
+
+
+def test_matches_reference_over_steps():
+    rng = np.random.default_rng(11)
+    start = rng.normal(size=(6, 5))
+    grads = mixed_grads(start.shape, 60, seed=11)
+    got, opt = run_adam(start, grads, 1e-2)
+
+    p, m, v = restated_adam(start, grads, 1e-2)
+    assert np.array_equal(got, p)
+    assert np.array_equal(opt.m[0], m) and np.array_equal(opt.v[0], v)
+
+    # same update as the textbook formula up to rounding; the zero entry never moves
     expected = reference_adam(start, grads, 1e-2)
-    assert np.array_equal(p.data, expected)
+    np.testing.assert_allclose(got - start, expected - start, rtol=TEXTBOOK_RTOL, atol=0)
+    assert got[0, 0] == start[0, 0]
 
 
 def test_mixed_sizes_and_skipped_grad_bitwise():
@@ -47,7 +91,9 @@ def test_mixed_sizes_and_skipped_grad_bitwise():
     for g in grads:
         big.grad, small.grad = g.copy(), None
         opt.step()
-    assert np.array_equal(big.data, reference_adam(big_start, grads, 3e-3))
+    p, m, v = restated_adam(big_start, grads, 3e-3)
+    assert np.array_equal(big.data, p)
+    assert np.array_equal(opt.m[1], m) and np.array_equal(opt.v[1], v)
     assert np.array_equal(small.data, small_start)
     assert not opt.m[0].any() and not opt.v[0].any()
 

@@ -34,4 +34,4 @@ def test_noise_robustness_prints_every_fraction():
 def test_step_digest_is_reproducible():
     first, second = (run_script("step_digest.py").stdout.splitlines() for _ in range(2))
     assert first == second
-    assert len(first) == 10 and all("sha256=" in line for line in first)
+    assert len(first) == 15 and all("sha256=" in line for line in first)

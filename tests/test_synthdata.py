@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -348,6 +349,30 @@ def test_load_rejects_missing_or_corrupt(tmp_path):
     (tmp_path / "1_pet.f32").write_bytes(b"\x00" * 12)
     with pytest.raises(DataFormatError):
         sd.load_cohort(tmp_path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("volume_side", 8.9), ("n", 3.0), ("n", "3"), ("n_risks", True), ("seed", "1"),
+    ("seed", None), ("censor_rate", "0.3"), ("censor_rate", False),
+])
+def test_load_rejects_mistyped_manifest_field(tmp_path, key, value):
+    sd.save_cohort(small_cohort(n=3, seed=10), tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["cohort"][key] = value
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(DataFormatError, match=key):
+        sd.load_cohort(tmp_path)
+
+
+def test_load_accepts_an_integral_censor_rate(tmp_path):
+    c = small_cohort(n=3, seed=10)
+    sd.save_cohort(c, tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["cohort"]["censor_rate"] = 0
+    path.write_text(json.dumps(manifest))
+    assert sd.load_cohort(tmp_path).config.censor_rate == 0.0
 
 
 def test_subset_preserves_alignment():

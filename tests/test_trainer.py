@@ -1,6 +1,7 @@
 """Training loop, objective composition, ablation freezing, evaluation."""
 
 import base64
+import dataclasses
 import hashlib
 import json
 import tracemalloc
@@ -458,6 +459,21 @@ def test_training_with_noise_deterministic_and_distinct(cohort24, trained):
         assert np.array_equal(model.params[k].data, model2.params[k].data), k
     assert any(not np.array_equal(model.params[k].data, clean_model.params[k].data)
                for k in model.params)
+
+
+def test_undefined_validation_epochs_are_counted(cohort24, trained):
+    _, reports = trained
+    assert all(r.undefined_val_epochs == 0 for r in reports)
+    # an all-censored validation split has no comparable pair: each epoch is
+    # scored 0.5 and counted, and early stopping keeps the first epoch
+    config = tiny_config(patience=2, epochs=5)
+    train_co, val_co = cohort24.subset(range(16)), cohort24.subset(range(16, 24))
+    val_co = dataclasses.replace(val_co, events=np.zeros_like(val_co.events))
+    edges = trainer.quantile_bin_edges(train_co.times, config.n_bins)
+    _, report = trainer._fit_fold(train_co, val_co, config, 0, edges)
+    assert report.val_ctd == [0.5, 0.5, 0.5]
+    assert report.undefined_val_epochs == report.epochs_run == 3
+    assert report.best_epoch == 0 and report.noisy_ctd == 0.5
 
 
 def test_returned_model_is_best_fold(cohort24, trained):
