@@ -4,7 +4,7 @@ Every command writes its artifacts atomically into the requested output
 directory (one ``manifest.json`` each) and reports results as ``key=value``
 lines on stdout.  Exit codes: 0 success, 2 usage or validation problem
 or an output that cannot be written, 3 unusable input data, 4 numerical
-failure.
+failure; each error type carries its own (``errors.ReportedError``).
 
 Re-running a command with identical arguments reproduces every output file
 byte for byte; timing measurements are kept out of the written reports for
@@ -21,18 +21,7 @@ import sys
 from pathlib import Path
 
 from . import stats, trainer
-from .errors import (
-    ConfigError,
-    DataFormatError,
-    DegenerateGroupsError,
-    IncompatibleInputError,
-    InvalidOutcomeError,
-    NumericsError,
-    OutputError,
-    TrainingDivergedError,
-    UndefinedMetricError,
-    UndefinedTestError,
-)
+from .errors import ConfigError, ReportedError
 from .fileio import atomic_text, ensure_dir
 from .synthdata import (
     PET_LEVELS,
@@ -43,23 +32,7 @@ from .synthdata import (
     save_cohort,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_INPUT = 3
-EXIT_NUMERIC = 4
-
 MANIFEST_VERSION = 1
-
-_USAGE_ERRORS = (ConfigError, OutputError)
-_INPUT_ERRORS = (
-    DataFormatError,
-    IncompatibleInputError,
-    InvalidOutcomeError,
-    UndefinedMetricError,
-    UndefinedTestError,
-    DegenerateGroupsError,
-)
-_NUMERIC_ERRORS = (NumericsError, TrainingDivergedError)
 
 PET_CHOICES = ("none", *PET_LEVELS)
 # --ablate choice -> the TrainConfig switches it sets
@@ -321,16 +294,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         args.func(args)
-    except _USAGE_ERRORS as err:
+    except ReportedError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except _INPUT_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except _NUMERIC_ERRORS as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+        return err.exit_code
+    return 0
 
 
 def entrypoint() -> None:

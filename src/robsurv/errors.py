@@ -1,8 +1,19 @@
 """Exception types shared across the package.
 
-Everything user-facing derives from ValueError or RuntimeError so callers
-can catch broadly; the CLI maps these onto its exit-code contract.
+Everything user-facing derives from ValueError, ArithmeticError or
+RuntimeError so callers can catch broadly.  The errors the CLI reports
+also derive from ``ReportedError``, whose ``exit_code`` is the status the
+CLI exits with after printing one ``error:`` line: 2 for a bad
+configuration or an unwritable output, 3 for unusable input data, 4 for a
+numerical failure.  ShapeError, DomainError and ContractError signal a
+programming error, not bad input, and carry no exit code.
 """
+
+
+class ReportedError(Exception):
+    """An error the CLI reports as one line and exits on with ``exit_code``."""
+
+    exit_code: int
 
 
 class ShapeError(ValueError):
@@ -13,45 +24,65 @@ class DomainError(ValueError):
     """Input outside the mathematical domain (log of non-positive, etc.)."""
 
 
-class NumericsError(ArithmeticError):
+class NumericsError(ReportedError, ArithmeticError):
     """A forward or backward pass produced a non-finite value."""
+
+    exit_code = 4
 
 
 class ContractError(RuntimeError):
     """An API precondition was violated (non-scalar loss, empty codebook)."""
 
 
-class ConfigError(ValueError):
+class ConfigError(ReportedError, ValueError):
     """Invalid configuration value."""
 
+    exit_code = 2
 
-class InvalidOutcomeError(ValueError):
+
+class InvalidOutcomeError(ReportedError, ValueError):
     """Outcome record outside the configured time/risk grid."""
 
+    exit_code = 3
 
-class UndefinedMetricError(ValueError):
+
+class UndefinedMetricError(ReportedError, ValueError):
     """Metric undefined for this input (no comparable pairs)."""
 
+    exit_code = 3
 
-class UndefinedTestError(ValueError):
+
+class UndefinedTestError(ReportedError, ValueError):
     """Test statistic undefined (zero variance)."""
 
+    exit_code = 3
 
-class DegenerateGroupsError(ValueError):
+
+class DegenerateGroupsError(ReportedError, ValueError):
     """Stratification produced an empty group."""
 
+    exit_code = 3
 
-class DataFormatError(ValueError):
+
+class DataFormatError(ReportedError, ValueError):
     """On-disk artifact is missing, truncated or corrupt."""
 
+    exit_code = 3
 
-class IncompatibleInputError(ValueError):
+
+class IncompatibleInputError(ReportedError, ValueError):
     """Data and model/config disagree on fixed dimensions or value ranges."""
 
+    exit_code = 3
 
-class TrainingDivergedError(RuntimeError):
+
+class TrainingDivergedError(ReportedError, RuntimeError):
     """Loss became non-finite during optimization."""
 
+    exit_code = 4
 
-class OutputError(RuntimeError):
+
+class OutputError(ReportedError, RuntimeError):
     """An output file or directory could not be created or written."""
+
+    exit_code = 2

@@ -1,7 +1,9 @@
 """Evaluation statistics for discrete-time competing-risk predictions.
 
 Everything here runs on plain numpy arrays; these routines score model
-output and never participate in gradients.
+output and never participate in gradients.  The outcome check and the
+comparable-pair rule are also the ones the training losses in
+``survival`` apply, so C_td scores the same pairs the ranking loss trains.
 """
 
 from __future__ import annotations
@@ -24,53 +26,74 @@ from .errors import (
 from .fileio import atomic_text
 
 
-def _check_outcomes(times, events, min_time: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def check_outcomes(times, events, min_time: int = 1, max_time: int | None = None,
+                   max_event: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Times and event codes as equal-length 1-d integer arrays, boolean
+    events read as 0/1.  Times must be at least ``min_time`` and event codes
+    nonnegative; ``max_time`` and ``max_event`` add upper bounds."""
     times = np.asarray(times)
     events = np.asarray(events)
     if events.dtype == bool:
         events = events.astype(int)
     if times.shape != events.shape or times.ndim != 1:
-        raise InvalidOutcomeError("times and events must be equal-length 1-d arrays")
+        raise InvalidOutcomeError(f"times {times.shape} and events {events.shape} "
+                                  "must be equal-length 1-d arrays")
     if not np.issubdtype(times.dtype, np.integer) or not np.issubdtype(events.dtype, np.integer):
         raise InvalidOutcomeError("times and events must be integer arrays")
-    if times.size and times.min() < min_time:
-        raise InvalidOutcomeError(f"times must be >= {min_time}")
-    if events.size and events.min() < 0:
-        raise InvalidOutcomeError("event codes are nonnegative")
+    if times.size and (times.min() < min_time or (max_time is not None and times.max() > max_time)):
+        raise InvalidOutcomeError(f"time bins must lie in [{min_time}, {max_time or 'inf'}]")
+    if events.size and (events.min() < 0 or (max_event is not None and events.max() > max_event)):
+        raise InvalidOutcomeError(f"event codes must lie in [0, {max_event or 'inf'}]")
     return times, events
+
+
+def comparable(times: np.ndarray, events: np.ndarray, cause: int) -> np.ndarray:
+    """The (n, n) mask of pairs (i, j) where i has an event of ``cause``
+    strictly before j's observed time, whatever j's outcome."""
+    return (events[:, None] == cause) & (times[:, None] < times[None, :])
 
 
 def concordance(values: np.ndarray, times, events, cause: int = 1) -> float:
     """Time-dependent concordance for one cause.
 
-    A pair (i, j) is comparable when i has an event of the given cause
-    strictly before j's observed time.  The pair scores 1 when i's own
+    A pair is scored when ``comparable``.  It scores 1 when i's own
     incidence curve, read at i's event bin, exceeds j's curve at the same
     bin; an exact tie scores 0.5, so constant predictors land on chance
     level.  Every pair is scored: the comparable mask and the score are
     full n x n arrays.
     """
     values = np.asarray(values, dtype=float)
-    times, events = _check_outcomes(times, events)
     if values.ndim != 3:
         raise InvalidOutcomeError(f"incidence grid must be (B, bins, risks), got {values.shape}")
+    times, events = check_outcomes(times, events, max_time=values.shape[1])
     n = times.size
     if values.shape[0] != n:
         raise InvalidOutcomeError(f"{n} outcomes for {values.shape[0]} curves")
     if not (1 <= cause <= values.shape[2]):
         raise ConfigError(f"cause {cause} outside grid with {values.shape[2]} risks")
-    if times.size and times.max() > values.shape[1]:
-        raise InvalidOutcomeError("time bin beyond the incidence grid")
 
-    comparable = (events[:, None] == cause) & (times[:, None] < times[None, :])
-    n_pairs = int(comparable.sum())
+    pairs = comparable(times, events, cause)
+    n_pairs = int(pairs.sum())
     if n_pairs == 0:
         raise UndefinedMetricError(f"no comparable pairs for cause {cause}")
 
     own = values[np.arange(n), times - 1, cause - 1]           # (n,)
     at_i = values[:, times - 1, cause - 1].T                   # [i, j] = curve_j(t_i)
     score = (own[:, None] > at_i) + 0.5 * (own[:, None] == at_i)
-    return float((score * comparable).sum() / n_pairs)
+    return float((score * pairs).sum() / n_pairs)
+
+
+def risk_sets(times: np.ndarray, events: np.ndarray, at: np.ndarray | None = None):
+    """Risk sets at the ascending times ``at``, by default the distinct
+    event times (any positive code): those times, how many subjects are
+    still observed there (time >= t, so a censoring at t stays at risk for
+    the events at t) and how many have an event there."""
+    died = np.sort(times[events > 0])
+    if at is None:
+        at = np.unique(died)
+    at_risk = times.size - np.searchsorted(np.sort(times), at)
+    n_events = np.searchsorted(died, at, side="right") - np.searchsorted(died, at)
+    return at, at_risk, n_events
 
 
 @dataclass(frozen=True)
@@ -87,28 +110,15 @@ def km_curve(times, events) -> SurvCurve:
     Subjects censored at t stay in the risk set for events at t and leave
     afterwards, so tied events are processed before tied censorings.  The
     curve carries one point per distinct event time; a cohort with no
-    events yields empty arrays (the curve stays at 1).
+    events yields empty arrays (the curve stays at 1).  The product runs
+    in time order, as a per-time loop would.
     """
-    times, events = _check_outcomes(times, events, min_time=0)
+    times, events = check_outcomes(times, events, min_time=0)
     if times.size == 0:
         raise InvalidOutcomeError("empty cohort")
-    event_times = np.unique(times[events > 0])
-    out_t, out_s, out_n, out_d = [], [], [], []
-    s = 1.0
-    for t in event_times:
-        n_risk = int((times >= t).sum())
-        d = int(((times == t) & (events > 0)).sum())
-        s *= 1.0 - d / n_risk
-        out_t.append(int(t))
-        out_s.append(s)
-        out_n.append(n_risk)
-        out_d.append(d)
-    return SurvCurve(
-        times=np.asarray(out_t, dtype=int),
-        survival=np.asarray(out_s, dtype=float),
-        at_risk=np.asarray(out_n, dtype=int),
-        n_events=np.asarray(out_d, dtype=int),
-    )
+    at, n, d = risk_sets(times, events)
+    return SurvCurve(times=at.astype(int), survival=np.cumprod(1.0 - d / n),
+                     at_risk=n, n_events=d)
 
 
 def write_km_csv(path, curves: dict) -> None:
@@ -126,10 +136,8 @@ def write_km_csv(path, curves: dict) -> None:
     atomic_text(path, buffer.getvalue())
 
 
-def chi2_sf(x: float, dof: int = 1) -> float:
-    """Chi-squared survival function; only one degree of freedom supported."""
-    if dof != 1:
-        raise ConfigError("only dof=1 is implemented")
+def chi2_sf(x: float) -> float:
+    """Chi-squared survival function with one degree of freedom."""
     if x < 0:
         raise DomainError("chi-squared statistic must be nonnegative")
     return math.erfc(math.sqrt(x / 2.0))
@@ -148,26 +156,19 @@ def logrank(times_a, events_a, times_b, events_b) -> LogRankResult:
     where only one subject remains contribute no variance.  Raises when
     the pooled cohort has no events or the variance degenerates to zero.
     """
-    ta, ea = _check_outcomes(times_a, events_a, min_time=0)
-    tb, eb = _check_outcomes(times_b, events_b, min_time=0)
+    ta, ea = check_outcomes(times_a, events_a, min_time=0)
+    tb, eb = check_outcomes(times_b, events_b, min_time=0)
     if ta.size == 0 or tb.size == 0:
         raise DegenerateGroupsError("both groups must be nonempty")
-    pooled_t = np.concatenate([ta, tb])
-    pooled_e = np.concatenate([ea, eb])
-    event_times = np.unique(pooled_t[pooled_e > 0])
+    event_times, n, d = risk_sets(np.concatenate([ta, tb]), np.concatenate([ea, eb]))
     if event_times.size == 0:
         raise UndefinedTestError("no events in either group")
+    _, n1, d1 = risk_sets(ta, ea, event_times)
 
-    observed_minus_expected = 0.0
-    variance = 0.0
-    for t in event_times:
-        n = int((pooled_t >= t).sum())
-        n1 = int((ta >= t).sum())
-        d = int(((pooled_t == t) & (pooled_e > 0)).sum())
-        d1 = int(((ta == t) & (ea > 0)).sum())
-        observed_minus_expected += d1 - d * n1 / n
-        if n > 1:
-            variance += d * (n1 / n) * (1.0 - n1 / n) * (n - d) / (n - 1)
+    # cumsum adds in event-time order, as a per-time loop does; at n == 1
+    # the one subject at risk has the event, so n - d = 0 zeroes the term
+    observed_minus_expected = np.cumsum(d1 - d * n1 / n)[-1]
+    variance = np.cumsum(d * (n1 / n) * (1.0 - n1 / n) * (n - d) / np.maximum(n - 1, 1))[-1]
     if variance == 0.0:
         raise UndefinedTestError("log-rank variance is zero")
     stat = observed_minus_expected ** 2 / variance

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, InvalidOutcomeError, ShapeError
+from .errors import ConfigError, ShapeError
+from .stats import check_outcomes, comparable
 
 HAZARD_EPSILON = 1e-6
 LOG_FLOOR = 1e-12
@@ -75,20 +76,6 @@ def hazard_forward(features, params: dict, n_bins: int, n_risks: int) -> HazardG
     return HazardGrid(ad.reshape(probs, (x.shape[0], n_bins, n_risks)))
 
 
-def validate_outcomes(times, events, n_bins: int, n_risks: int) -> tuple[np.ndarray, np.ndarray]:
-    times = np.asarray(times)
-    events = np.asarray(events)
-    if times.shape != events.shape or times.ndim != 1:
-        raise InvalidOutcomeError(f"times {times.shape} and events {events.shape} must be equal 1-d")
-    if not np.issubdtype(times.dtype, np.integer) or not np.issubdtype(events.dtype, np.integer):
-        raise InvalidOutcomeError("times and events must be integer arrays")
-    if times.size and (times.min() < 1 or times.max() > n_bins):
-        raise InvalidOutcomeError(f"time bins must lie in [1, {n_bins}]")
-    if events.size and (events.min() < 0 or events.max() > n_risks):
-        raise InvalidOutcomeError(f"event codes must lie in [0, {n_risks}]")
-    return times, events
-
-
 @dataclass
 class CifGrid:
     values: ad.Tensor      # (B, n_bins, n_risks), cumulative incidence
@@ -121,7 +108,7 @@ def likelihood_loss(hazards: HazardGrid, times, events) -> ad.Tensor:
     """
     h = hazards.clamped
     b, p, k = h.shape
-    times, events = validate_outcomes(times, events, p, k)
+    times, events = check_outcomes(times, events, max_time=p, max_event=k)
     if times.size != b:
         raise ShapeError(f"{times.size} outcomes for a batch of {b}")
 
@@ -147,7 +134,7 @@ def ranking_loss(incidence: CifGrid, times, events, sigma: float,
     """
     f = incidence.values
     b, p, k = f.shape
-    times, events = validate_outcomes(times, events, p, k)
+    times, events = check_outcomes(times, events, max_time=p, max_event=k)
     if times.size != b:
         raise ShapeError(f"{times.size} outcomes for a batch of {b}")
     if sigma <= 0:
@@ -157,9 +144,8 @@ def ranking_loss(incidence: CifGrid, times, events, sigma: float,
     if len(risk_weights) != k:
         raise ConfigError(f"{len(risk_weights)} risk weights for {k} causes")
 
-    comparable = {cause: (events[:, None] == cause) & (times[:, None] < times[None, :])
-                  for cause in range(1, k + 1)}
-    total_pairs = sum(int(mask.sum()) for mask in comparable.values())
+    masks = {cause: comparable(times, events, cause) for cause in range(1, k + 1)}
+    total_pairs = sum(int(mask.sum()) for mask in masks.values())
     if total_pairs == 0:
         return ad.Tensor(0.0), 0
 
@@ -169,7 +155,7 @@ def ranking_loss(incidence: CifGrid, times, events, sigma: float,
     flat = ad.reshape(f, (b * p * k, 1))
     own_rows = (np.arange(b) * p + times - 1) * k
     weighted = None
-    for cause, mask in comparable.items():
+    for cause, mask in masks.items():
         if not mask.any():
             continue
         other = ad.take_rows(by_bin, (cause - 1) * p + times - 1)  # [i,j] = F_k(t_i | j)

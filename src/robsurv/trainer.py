@@ -322,19 +322,16 @@ class SurvivalModel:
         n = ct.shape[0]
         values = []
         survs = []
-        usage: dict[str, list] = {m: [] for m in vq.MODALITIES}
+        usage = {m: [] for m in vq.MODALITIES} if self.config.use_quantization else {}
         with ad.no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, batch):
                 fwd = self.forward(ct[start:start + batch], pet[start:start + batch])
                 inc = survival.cif(fwd.hazards)
                 values.append(inc.values.data)
                 survs.append(inc.survival.data)
-                if fwd.quantized is not None:
-                    for m in vq.MODALITIES:
-                        usage[m].append(fwd.quantized[m].indices.reshape(-1))
-        indices = None
-        if self.config.use_quantization:
-            indices = {m: np.concatenate(usage[m]) for m in vq.MODALITIES}
+                for m, ids in usage.items():
+                    ids.append(fwd.quantized[m].indices.reshape(-1))
+        indices = {m: np.concatenate(ids) for m, ids in usage.items()} or None
         return np.concatenate(values), np.concatenate(survs), indices
 
     # -- persistence ----------------------------------------------------------
@@ -437,7 +434,6 @@ class FoldReport:
     best_val_ctd: float
     train_losses: list
     val_ctd: list
-    undefined_val_epochs: int      # epochs whose val_ctd is 0.5 for want of a comparable pair
     clean_ctd: float
     noisy_ctd: float
     codebook: dict | None          # modality -> {perplexity, dead_entries}
@@ -446,16 +442,6 @@ class FoldReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def _validation_ctd(values: np.ndarray, cohort: SyntheticCohort,
-                    binned_times: np.ndarray) -> tuple[float, bool]:
-    """Cause-1 concordance and whether it is defined; a split with no
-    comparable pair scores 0.5, the concordance of a constant prediction."""
-    try:
-        return stats.concordance(values, binned_times, cohort.events, cause=1), True
-    except UndefinedMetricError:
-        return 0.5, False
 
 
 def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainConfig,
@@ -471,7 +457,6 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     patience_left = config.patience
     train_losses: list[float] = []
     val_scores: list[float] = []
-    undefined_epochs = 0
 
     n = train_co.n
     for epoch in range(config.epochs):
@@ -486,8 +471,6 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
                     fwd = model.forward(train_co.ct[rows], train_co.pet[rows])
                     bundle = model.losses(fwd, t_train[rows], train_co.events[rows])
                     value = bundle.total.item()
-                    if not np.isfinite(value):
-                        raise NumericsError("non-finite loss")
                     optimizer.zero_grad()
                     ad.backward(bundle.total)
                 except NumericsError as err:
@@ -502,8 +485,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))
         values, _, usage = model.predict(val_co.ct, val_co.pet)
-        score, defined = _validation_ctd(values, val_co, t_val)
-        undefined_epochs += not defined
+        score = stats.concordance(values, t_val, val_co.events, cause=1)
         val_scores.append(score)
         if score > best_score:
             best_score = score
@@ -519,7 +501,8 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     # holds the restored model's clean score and codebook usage
     model.restore(best_snap)
     noisy_val = apply_noise_mix(val_co, config.train_noise, seed=config.seed * 1009 + fold)
-    noisy_ctd, _ = _validation_ctd(model.predict(noisy_val.ct, noisy_val.pet)[0], noisy_val, t_val)
+    noisy_ctd = stats.concordance(model.predict(noisy_val.ct, noisy_val.pet)[0], t_val,
+                                  noisy_val.events, cause=1)
 
     codebook = None
     if config.use_quantization:
@@ -531,8 +514,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     report = FoldReport(
         fold=fold, epochs_run=len(train_losses), best_epoch=best_epoch,
         best_val_ctd=float(best_score), train_losses=train_losses,
-        val_ctd=val_scores, undefined_val_epochs=undefined_epochs,
-        clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
+        val_ctd=val_scores, clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
         codebook=codebook, trained_with_noise=config.train_with_noise,
         wall_clock=time.perf_counter() - started,
     )
@@ -557,18 +539,26 @@ def train(cohort: SyntheticCohort, config: TrainConfig) -> tuple[SurvivalModel, 
 
     perm = np.random.default_rng([config.seed, SPLIT_SALT]).permutation(cohort.n)
     chunks = np.array_split(perm, config.folds)
+    splits = []
+    for fold, val_idx in enumerate(chunks):
+        train_idx = np.concatenate([chunks[j] for j in range(config.folds) if j != fold])
+        edges = quantile_bin_edges(cohort.times[train_idx], config.n_bins)
+        # validation scores binned times, and binning can merge distinct times
+        t_val = assign_bins(cohort.times[val_idx], edges)
+        if not stats.comparable(t_val, cohort.events[val_idx], 1).any():
+            raise UndefinedMetricError(
+                f"fold {fold} validation split has no comparable pair, so its "
+                "concordance is undefined")
+        splits.append((train_idx, val_idx, edges))
 
     best_model: SurvivalModel | None = None
     reports: list[FoldReport] = []
-    for fold in range(config.folds):
-        val_idx = chunks[fold]
-        train_idx = np.concatenate([chunks[j] for j in range(config.folds) if j != fold])
+    for fold, (train_idx, val_idx, edges) in enumerate(splits):
         train_co = cohort.subset(train_idx)
         val_co = cohort.subset(val_idx)
         if config.train_with_noise:
             train_co = apply_noise_mix(train_co, config.train_noise,
                                        seed=config.seed * 1013 + fold)
-        edges = quantile_bin_edges(train_co.times, config.n_bins)
         model, report = _fit_fold(train_co, val_co, config, fold, edges)
         reports.append(report)
         if best_fold(reports) is report:

@@ -433,7 +433,7 @@ def test_criterion_05_km_logrank_chi2():
     if len(gaps) < 2 or max(gaps) > 0.05:
         problems.append(f"logrank-permutation gaps={gaps}")
 
-    value = stats.chi2_sf(3.841, 1)
+    value = stats.chi2_sf(3.841)
     oracle, err = scipy.integrate.quad(
         lambda x: np.exp(-x / 2.0) / np.sqrt(2.0 * np.pi * x), 3.841, np.inf)
     if abs(value - 0.050) > 1e-3:
@@ -442,7 +442,7 @@ def test_criterion_05_km_logrank_chi2():
         problems.append(f"chi2 vs quadrature: {value} vs {oracle}")
 
     detail = (f"KM exact, {len(gaps)} permutation gaps max "
-              f"{max(gaps):.3f}, chi2_sf(3.841,1)={value:.6f}")
+              f"{max(gaps):.3f}, chi2_sf(3.841)={value:.6f}")
     _verdict(5, not problems, detail + (f"; failures: {problems}" if problems else ""))
 
 

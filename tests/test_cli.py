@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from robsurv import cli, trainer
+from robsurv import cli, errors, trainer
 from robsurv.synthdata import NoiseSpec, load_cohort
 
 TINY_CONFIG = {
@@ -120,6 +120,38 @@ def test_missing_required_flag_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# README: 2 bad usage or config or an unwritable output, 3 unreadable or
+# incompatible input data, 4 numerical failure
+@pytest.mark.parametrize("error, code", [
+    (errors.ConfigError, 2),
+    (errors.OutputError, 2),
+    (errors.DataFormatError, 3),
+    (errors.IncompatibleInputError, 3),
+    (errors.InvalidOutcomeError, 3),
+    (errors.UndefinedMetricError, 3),
+    (errors.UndefinedTestError, 3),
+    (errors.DegenerateGroupsError, 3),
+    (errors.NumericsError, 4),
+    (errors.TrainingDivergedError, 4),
+    (errors.ShapeError, None),
+    (errors.DomainError, None),
+    (errors.ContractError, None),
+])
+def test_error_exit_codes(error, code, tmp_path, capsys, monkeypatch):
+    if code is None:  # a programming error, not a reported one
+        assert not issubclass(error, errors.ReportedError)
+        return
+    assert error.exit_code == code
+
+    def fail(args):
+        raise error("cannot go on")
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    result, _, err = run_cli(["gen", "--n", "4", "--out", tmp_path / "x"], capsys)
+    assert result == code
+    assert err == "error: cannot go on\n"
 
 
 # ---------------------------------------------------------------------------

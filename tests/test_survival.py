@@ -3,6 +3,7 @@ import pytest
 
 from gradcheck import check_gradients
 from robsurv import autodiff as ad
+from robsurv import stats
 from robsurv import survival as sv
 from robsurv.errors import ConfigError, InvalidOutcomeError, ShapeError
 from robsurv.trainer import TrainConfig
@@ -257,6 +258,8 @@ def test_ranking_matches_brute_force(seed):
     loss, pairs = sv.ranking_loss(inc, times, events, sigma=0.3, risk_weights=weights)
     ref_loss, ref_pairs = brute_force_rank(values, times, events, 0.3, weights)
     assert pairs == ref_pairs
+    # the loss trains on exactly the pairs that concordance scores
+    assert pairs == sum(int(stats.comparable(times, events, c).sum()) for c in range(1, k + 1))
     assert loss.item() == pytest.approx(ref_loss, rel=1e-12, abs=1e-15)
 
 

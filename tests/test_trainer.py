@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from robsurv import autodiff as ad
-from robsurv import fusion, stats, synthdata, trainer, vq
+from robsurv import cli, fusion, stats, synthdata, trainer, vq
 from robsurv.errors import (
     ConfigError,
     ContractError,
     DataFormatError,
     IncompatibleInputError,
     TrainingDivergedError,
+    UndefinedMetricError,
 )
 
 ENC = vq.EncoderConfig(volume_side=8, latent_grid=2, latent_dim=6, codebook_size=8)
@@ -461,19 +462,30 @@ def test_training_with_noise_deterministic_and_distinct(cohort24, trained):
                for k in model.params)
 
 
-def test_undefined_validation_epochs_are_counted(cohort24, trained):
-    _, reports = trained
-    assert all(r.undefined_val_epochs == 0 for r in reports)
-    # an all-censored validation split has no comparable pair: each epoch is
-    # scored 0.5 and counted, and early stopping keeps the first epoch
-    config = tiny_config(patience=2, epochs=5)
-    train_co, val_co = cohort24.subset(range(16)), cohort24.subset(range(16, 24))
-    val_co = dataclasses.replace(val_co, events=np.zeros_like(val_co.events))
-    edges = trainer.quantile_bin_edges(train_co.times, config.n_bins)
-    _, report = trainer._fit_fold(train_co, val_co, config, 0, edges)
-    assert report.val_ctd == [0.5, 0.5, 0.5]
-    assert report.undefined_val_epochs == report.epochs_run == 3
-    assert report.best_epoch == 0 and report.noisy_ctd == 0.5
+def test_undefined_validation_split_rejected_before_training(cohort24, tmp_path, capsys,
+                                                            monkeypatch):
+    # censor fold 1's validation rows: that split has no comparable pair, so
+    # neither train nor the CLI may fit any fold, not even fold 0
+    perm = np.random.default_rng([1, trainer.SPLIT_SALT]).permutation(cohort24.n)
+    events = cohort24.events.copy()
+    events[np.array_split(perm, 2)[1]] = 0
+    censored = dataclasses.replace(cohort24, events=events)
+
+    def no_fit(*args):
+        raise AssertionError("a fold was fitted")
+
+    monkeypatch.setattr(trainer, "_fit_fold", no_fit)
+    with pytest.raises(UndefinedMetricError, match="fold 1 "):
+        trainer.train(censored, tiny_config())
+
+    synthdata.save_cohort(censored, tmp_path / "data")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(trainer.config_to_dict(tiny_config())))
+    code = cli.main(["train", "--data", str(tmp_path / "data"), "--config", str(config),
+                     "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert code == 3
+    assert len(err) == 1 and err[0].startswith("error: fold 1 ")
 
 
 def test_returned_model_is_best_fold(cohort24, trained):
