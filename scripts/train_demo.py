@@ -18,7 +18,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=120, help="cohort size")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", default=None, help="optional path to save the model JSON")
+    ap.add_argument("--out", default=None, help="optional path to save the model (safetensors layout)")
     args = ap.parse_args()
 
     cohort = generate_cohort(args.n, CohortConfig(censor_rate=0.3, seed=args.seed))

@@ -91,7 +91,8 @@ def _load_train_config(path: str | None, ablate: str) -> trainer.TrainConfig:
             raw = json.loads(file.read_text())
         except OSError as err:
             raise ConfigError(f"cannot read config file {file}: {err.strerror}") from None
-        except ValueError as err:  # undecodable bytes or invalid JSON
+        # undecodable bytes or invalid JSON; json raises RecursionError on deep nesting
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"config file is not valid JSON: {err}") from None
     # the ablation flag wins over whatever the config file says
     return dataclasses.replace(trainer.config_from_dict(raw), **ABLATIONS[ablate])
@@ -120,7 +121,7 @@ def cmd_train(args) -> None:
     model, reports = trainer.train(cohort, config)
     best = trainer.best_fold(reports)
 
-    model.save(out_dir / "model.json")
+    model.save(out_dir / "model.safetensors")
     _write_json(out_dir / "report.json", {
         "best_fold": best.fold,
         "folds": [_strip_timing(r.to_dict()) for r in reports],
@@ -134,7 +135,7 @@ def cmd_train(args) -> None:
     _emit({
         "command": "train",
         "out": out_dir,
-        "model": out_dir / "model.json",
+        "model": out_dir / "model.safetensors",
         "folds": len(reports),
         "best_fold": best.fold,
         "best_val_ctd": repr(best.best_val_ctd),
@@ -265,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("eval", help="evaluate a stored model on a cohort")
-    ev.add_argument("--model", required=True, help="model.json path")
+    ev.add_argument("--model", required=True, help="model file written by train")
     ev.add_argument("--data", required=True)
     ev.add_argument("--noise-ct", type=float, default=0.0)
     ev.add_argument("--noise-pet", choices=PET_CHOICES, default="none")
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=cmd_eval)
 
     sweep = sub.add_parser("sweep", help="evaluate across noise fractions and seeds")
-    sweep.add_argument("--model", required=True)
+    sweep.add_argument("--model", required=True, help="model file written by train")
     sweep.add_argument("--data", required=True)
     sweep.add_argument("--fractions", required=True, help="comma separated, e.g. 0,0.25,0.5")
     sweep.add_argument("--seeds", required=True, help="comma separated integers")

@@ -316,7 +316,8 @@ def load_cohort(data_dir) -> SyntheticCohort:
         raise DataFormatError(f"no manifest.json in {data_dir}") from None
     except OSError as err:
         raise DataFormatError(f"unreadable manifest.json: {err.strerror}") from None
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
+    # json raises RecursionError on deeply nested input
+    except (KeyError, TypeError, ValueError, RecursionError) as err:
         raise DataFormatError(f"corrupt manifest: {err}") from None
 
     ids, times, events, risk, noisy = [], [], [], [], []

@@ -14,7 +14,6 @@ wall-clock timings.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import math
@@ -40,7 +39,9 @@ from .fileio import atomic_bytes
 from .optim import Adam
 from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noisy_rows
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
+# every value under a model file's __metadata__ is a string, as safetensors requires
+_METADATA_KEYS = {"format_version", "config", "bin_edges", "sha256"}
 
 # seed salts: keep the independent random streams from colliding
 SPLIT_SALT = 7919
@@ -337,89 +338,134 @@ class SurvivalModel:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the config, bin edges and every parameter as base64 of its
-        little-endian float64 bytes, plus a sha256 over those bytes in
-        sorted-name order; the round trip is bitwise exact."""
-        params, blobs, digest = {}, [], hashlib.sha256()
+        """Write the model in the safetensors layout: an 8-byte little-endian
+        header length, a sorted-key JSON header padded with spaces to a
+        multiple of 8, then every parameter's little-endian float64 bytes in
+        C order, in sorted-name order.  The header's ``__metadata__`` holds the
+        format version, config and bin edges as JSON text, and the sha256 of
+        the parameter bytes; the round trip is bitwise exact."""
+        entries, blobs, digest, offset = {}, [], hashlib.sha256(), 0
         for name in sorted(self.params):
-            data = self.params[name].data
-            raw = data.astype("<f8", copy=False).tobytes()  # C order, 0-d stays 0-d
+            data = np.require(self.params[name].data, "<f8", "C")  # 0-d stays 0-d
+            raw = memoryview(data).cast("B")
             digest.update(raw)
-            params[name] = {"shape": list(data.shape), "f64le": ""}
-            blobs.append(base64.b64encode(raw))
-        payload = {
-            "format_version": MODEL_FORMAT_VERSION,
-            "config": config_to_dict(self.config),
-            "bin_edges": [float(e) for e in self.bin_edges],
-            "params": params,
+            entries[name] = {"dtype": "F64", "shape": list(data.shape),
+                             "data_offsets": [offset, offset + raw.nbytes]}
+            blobs.append(raw)
+            offset += raw.nbytes
+        entries["__metadata__"] = {
+            "format_version": str(MODEL_FORMAT_VERSION),
+            "config": json.dumps(config_to_dict(self.config), sort_keys=True),
+            "bin_edges": json.dumps([float(e) for e in self.bin_edges]),
             "sha256": digest.hexdigest(),
         }
-        # The file is json.dumps(payload, sort_keys=True) + "\n" with the base64
-        # spliced in verbatim: the base64 alphabet holds nothing JSON escapes, so
-        # scanning and re-encoding megabytes of it would only cost time.
-        head, *tails = json.dumps(payload, sort_keys=True).split('"f64le": ""')
-        assert len(tails) == len(blobs)  # only params entries have an f64le key
-        chunks = [head.encode()]
-        for blob, tail in zip(blobs, tails):  # both in sorted-name order
-            chunks += [b'"f64le": "', blob, b'"', tail.encode()]
-        atomic_bytes(path, chunks + [b"\n"])
+        header = json.dumps(entries, sort_keys=True).encode()
+        header += b" " * (-len(header) % 8)
+        atomic_bytes(path, [len(header).to_bytes(8, "little"), header, *blobs])
 
     @classmethod
     def load(cls, path) -> "SurvivalModel":
-        """Read a saved model; any fault in the file raises ``DataFormatError``."""
+        """Read a file written by ``save``; any fault in it raises
+        ``DataFormatError``, and a JSON model file of an older format is
+        named by its format."""
         path = Path(path)
         if not path.is_file():
             raise DataFormatError(f"no model file at {path}")
         try:
-            payload = json.loads(path.read_bytes())
-            version = payload["format_version"]
-            if type(version) is not int or version != MODEL_FORMAT_VERSION:  # 2.0 == 2, true == 1
-                raise DataFormatError(
-                    f"model format {version!r}, but only format {MODEL_FORMAT_VERSION} "
-                    f"can be read; retrain to write one")
-            # save writes every field, so a missing one means a damaged file
-            missing = sorted({f.name for f in fields(TrainConfig)} - set(payload["config"]))
-            if missing:
-                raise DataFormatError(f"config lacks {', '.join(missing)}")
-            config = config_from_dict(payload["config"])
-            params = _decode_params(payload["params"], payload["sha256"])
-            shapes = {k: shape for k, (shape, _, _) in param_specs(config).items()}
-            wrong = sorted(k for k in shapes.keys() | params.keys()
-                           if k not in params or params[k].shape != shapes.get(k))
-            if wrong:
-                raise DataFormatError(f"parameters {', '.join(wrong)} do not match the config")
-            return cls(params, config, payload["bin_edges"])
-        # ConfigError, DataFormatError, JSONDecodeError and bad base64 are ValueErrors
-        except (AttributeError, KeyError, TypeError, ValueError) as err:
-            raise DataFormatError(f"bad model file {path}: {err}") from None
+            blob = path.read_bytes()
         except OSError as err:
             raise DataFormatError(f"unreadable model file {path}: {err.strerror}") from None
+        try:
+            return cls._from_bytes(blob)
+        # ConfigError, DataFormatError, JSONDecodeError and UnicodeDecodeError are
+        # ValueErrors; json raises RecursionError on deeply nested input
+        except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as err:
+            version = _json_format_version(blob)
+            if version is not None:
+                err = _unreadable_format(version)
+            raise DataFormatError(f"bad model file {path}: {err}") from None
+
+    @classmethod
+    def _from_bytes(cls, blob: bytes) -> "SurvivalModel":
+        size = int.from_bytes(blob[:8], "little")
+        if len(blob) < 8 or size > len(blob) - 8:
+            raise DataFormatError("the header runs past the end of the file")
+        header = json.loads(blob[8:8 + size].decode())
+        if not isinstance(header, dict):
+            raise DataFormatError("the header is not a JSON object")
+        meta = header.pop("__metadata__", None)
+        if (not isinstance(meta, dict) or meta.keys() != _METADATA_KEYS
+                or any(type(v) is not str for v in meta.values())):
+            raise DataFormatError("__metadata__ must map format_version, config, "
+                                  "bin_edges and sha256 to strings")
+        version = meta["format_version"]
+        if version != str(MODEL_FORMAT_VERSION):
+            raise DataFormatError(_unreadable_format(version))
+        raw = json.loads(meta["config"])
+        # save writes every field, so a missing one means a damaged file
+        missing = sorted({f.name for f in fields(TrainConfig)} - set(raw))
+        if missing:
+            raise DataFormatError(f"config lacks {', '.join(missing)}")
+        config = config_from_dict(raw)
+        edges = json.loads(meta["bin_edges"])
+        # a JSON string or bool is damage, not a value to coerce
+        if not isinstance(edges, list) or {type(e) for e in edges} - {int, float}:
+            raise DataFormatError("bin_edges must be a JSON list of numbers")
+        buffer = memoryview(blob)[8 + size:]
+        if hashlib.sha256(buffer).hexdigest() != meta["sha256"]:
+            raise DataFormatError("parameter bytes do not match the file's sha256")
+        params = _decode_params(header, buffer)
+        shapes = {k: shape for k, (shape, _, _) in param_specs(config).items()}
+        wrong = sorted(k for k in shapes.keys() | params.keys()
+                       if k not in params or params[k].shape != shapes.get(k))
+        if wrong:
+            raise DataFormatError(f"parameters {', '.join(wrong)} do not match the config")
+        return cls(params, config, edges)
 
 
-def _decode_params(entries: dict, checksum: str) -> dict:
-    """Tensors from ``save``'s ``{"shape", "f64le"}`` entries, checked against
-    their shapes and the file's sha256."""
-    if not isinstance(entries, dict):
-        raise DataFormatError("params must be a JSON object")
-    digest = hashlib.sha256()
-    params = {}
+def _decode_params(entries: dict, buffer: memoryview) -> dict:
+    """Tensors from the header's ``{"dtype", "shape", "data_offsets"}``
+    entries, whose byte ranges must tile ``buffer`` in sorted-name order."""
+    params, offset = {}, 0
     for name in sorted(entries):
         entry = entries[name]
-        if not isinstance(entry, dict) or entry.keys() != {"f64le", "shape"}:
-            raise DataFormatError(f"parameter {name} must be an object with keys f64le and shape")
+        if not isinstance(entry, dict) or entry.keys() != {"data_offsets", "dtype", "shape"}:
+            raise DataFormatError(f"parameter {name} must be an object with keys "
+                                  f"data_offsets, dtype and shape")
+        if entry["dtype"] != "F64":
+            raise DataFormatError(f"parameter {name} has dtype {entry['dtype']!r}, not F64")
         shape = entry["shape"]
         if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
             raise DataFormatError(f"parameter {name} has shape {shape!r}")
-        raw = base64.b64decode(entry["f64le"], validate=True)
-        need = 8 * math.prod(shape)
-        if len(raw) != need:
-            raise DataFormatError(f"parameter {name} holds {len(raw)} bytes, "
-                                  f"shape {shape} needs {need}")
-        digest.update(raw)
-        params[name] = ad.Tensor(np.frombuffer(raw, "<f8").reshape(shape), requires_grad=True)
-    if digest.hexdigest() != checksum:
-        raise DataFormatError("parameter bytes do not match the file's sha256")
+        count = math.prod(shape)
+        end = offset + 8 * count
+        span = entry["data_offsets"]
+        if span != [offset, end] or any(type(o) is not int for o in span):
+            raise DataFormatError(f"parameter {name} has data_offsets {span!r}, "
+                                  f"but shape {shape} after {offset} bytes needs {[offset, end]}")
+        if end > len(buffer):
+            raise DataFormatError(f"parameter {name} runs past the end of the file")
+        # ad.Tensor copies the read-only view, so the parameter is writable
+        params[name] = ad.Tensor(np.frombuffer(buffer, "<f8", count, offset).reshape(shape),
+                                 requires_grad=True)
+        offset = end
+    if offset != len(buffer):
+        raise DataFormatError(f"{len(buffer) - offset} bytes follow the last parameter")
     return params
+
+
+def _unreadable_format(version) -> str:
+    return (f"model format {version!r}, but only format {MODEL_FORMAT_VERSION} "
+            f"can be read; retrain to write one")
+
+
+def _json_format_version(blob: bytes):
+    """The ``format_version`` of a JSON model file (formats 1 and 2), else None."""
+    try:
+        payload = json.loads(blob)
+    except (ValueError, RecursionError):
+        return None
+    return payload.get("format_version") if isinstance(payload, dict) else None
 
 
 # ---------------------------------------------------------------------------

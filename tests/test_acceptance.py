@@ -589,7 +589,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         assert cli.main(["train", "--data", str(data), "--config", str(config),
                          "--out", str(run)]) == 0
         ev = tmp_path / f"eval_{label}"
-        assert cli.main(["eval", "--model", str(run / "model.json"),
+        assert cli.main(["eval", "--model", str(run / "model.safetensors"),
                          "--data", str(data), "--noise-ct", "0.1",
                          "--noise-pet", "high", "--noise-frac", "0.5",
                          "--out", str(ev)]) == 0

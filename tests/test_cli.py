@@ -1,7 +1,6 @@
 """Command line behavior: artifacts, exit codes, reproducibility."""
 
 import base64
-import hashlib
 import json
 import subprocess
 import sys
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from modelfile import ModelFile
 from robsurv import cli, errors, trainer
 from robsurv.synthdata import NoiseSpec, load_cohort
 
@@ -19,6 +19,7 @@ TINY_CONFIG = {
                "channel_reduction": 2, "d_fused": 12},
     "epochs": 3, "batch_size": 4, "folds": 2, "n_bins": 5, "seed": 1,
 }
+NESTED_JSON = "[" * 100_000 + "]" * 100_000  # json raises RecursionError on it
 
 
 def run_cli(argv, capsys):
@@ -45,7 +46,7 @@ def workspace(tmp_path_factory):
     assert cli.main(["train", "--data", str(data), "--config", str(config),
                      "--out", str(run)]) == 0
     return {"root": root, "data": data, "config": config, "run": run,
-            "model": run / "model.json"}
+            "model": run / "model.safetensors"}
 
 
 def read_tree(directory: Path) -> dict:
@@ -160,7 +161,8 @@ def test_error_exit_codes(error, code, tmp_path, capsys, monkeypatch):
 
 def test_train_artifacts(workspace):
     run = workspace["run"]
-    assert {p.name for p in run.iterdir()} == {"model.json", "report.json", "manifest.json"}
+    assert {p.name for p in run.iterdir()} == {"model.safetensors", "report.json",
+                                               "manifest.json"}
     report = json.loads((run / "report.json").read_text())
     assert len(report["folds"]) == 2
     assert report["best_fold"] in (0, 1)
@@ -224,6 +226,16 @@ def test_train_bad_config_file(workspace, tmp_path, capsys, content):
                             "--out", tmp_path / "run"], capsys)
     assert code == 2
     assert_one_error_line(err)
+
+
+def test_train_deeply_nested_config_exits_2(workspace, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(NESTED_JSON)
+    code, _, err = run_cli(["train", "--data", workspace["data"], "--config", cfg,
+                            "--out", tmp_path / "run"], capsys)
+    assert code == 2
+    assert_one_error_line(err)
+    assert "config file is not valid JSON" in err
 
 
 @pytest.mark.parametrize("damage", ["delete", "non-integer", "short row", "no column",
@@ -293,8 +305,8 @@ def test_train_ablation_flag_recorded(workspace, tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run"]["ablate"] == "no-vq"
     assert manifest["run"]["config"]["use_quantization"] is False
-    model = json.loads((out / "model.json").read_text())
-    assert model["config"]["use_quantization"] is False
+    model = ModelFile.read(out / "model.safetensors")
+    assert model.config()["use_quantization"] is False
 
 
 def test_train_warns_on_collapsed_codebooks(workspace, tmp_path, capsys):
@@ -381,56 +393,68 @@ def test_eval_invalid_noise_flags(workspace, tmp_path, capsys):
     assert code == 2
 
 
-def _b64(raw: bytes) -> str:
-    return base64.b64encode(raw).decode()
+def _set_meta(key: str, value):
+    return lambda f: f.meta.__setitem__(key, value)
 
 
-def _reseal(payload: dict) -> None:
-    """Recompute the checksum, so that an edit leaves exactly one fault."""
-    digest = hashlib.sha256()
-    for name in sorted(payload["params"]):
-        digest.update(base64.b64decode(payload["params"][name]["f64le"]))
-    payload["sha256"] = digest.hexdigest()
+def _ragged(model: ModelFile) -> None:
+    """Three float64 values under a 2 x 2 shape, as a ragged list once was."""
+    model.set_arrays({**model.arrays(), "head.head_w1": np.zeros(3)})
+    model.header["head.head_w1"]["shape"] = [2, 2]
 
 
-def _with_entry(name: str, entry: dict):
-    def edit(payload):
-        payload["params"][name] = entry
-        _reseal(payload)
-    return edit
+def _trailing_bytes(model: ModelFile) -> None:
+    model.buffer += bytes(8)
+    model.reseal()
 
 
-def _flip_one_value(payload):
-    entry = payload["params"]["head.head_w1"]
-    raw = bytearray(base64.b64decode(entry["f64le"]))
-    raw[0] ^= 1
-    entry["f64le"] = _b64(bytes(raw))
+def _flip_one_value(model: ModelFile) -> None:
+    """Flip one bit of the first parameter, leaving the checksum as it was."""
+    model.buffer = bytes([model.buffer[0] ^ 1]) + model.buffer[1:]
 
 
-# each edit damages one field of a format-2 model.json
+def _format_2_payload(model: ModelFile) -> dict:
+    """The JSON object a format-2 model file held for the same model."""
+    params = {name: {"shape": list(array.shape),
+                      "f64le": base64.b64encode(array.tobytes()).decode()}
+              for name, array in model.arrays().items()}
+    return {"format_version": 2, "config": model.config(),
+            "bin_edges": json.loads(model.meta["bin_edges"]), "params": params,
+            "sha256": model.meta["sha256"]}
+
+
+# each edit damages one field of a model file
 MODEL_EDITS = {
-    # three float64 values under a 2 x 2 shape, as a ragged list once was
-    "ragged-params": _with_entry("head.head_w1", {"shape": [2, 2], "f64le": _b64(bytes(24))}),
-    "bad-base64": lambda p: p["params"]["head.head_w1"].__setitem__("f64le", "@@not base64@@"),
-    "dtype-key": lambda p: p["params"]["head.head_w1"].__setitem__(
-        "f32le", p["params"]["head.head_w1"].pop("f64le")),
+    "ragged-params": _ragged,
+    "header-not-object": lambda f: setattr(f, "header", "@@not a header@@"),
+    "dtype-key": lambda f: f.header["head.head_w1"].__setitem__("dtype", "F32"),
     "checksum": _flip_one_value,
-    "negative-lr": lambda p: p["config"].__setitem__("lr", -1),
-    "missing-field": lambda p: p["config"].pop("epochs"),
-    "encoder-not-object": lambda p: p["config"].__setitem__("encoder", 5),
+    "negative-lr": lambda f: f.edit_config(lambda c: c.__setitem__("lr", -1)),
+    "missing-field": lambda f: f.edit_config(lambda c: c.pop("epochs")),
+    "encoder-not-object": lambda f: f.edit_config(lambda c: c.__setitem__("encoder", 5)),
     # the checksum covers only the parameters; a NaN edge would re-bin every outcome
-    "bin-edges-nan": lambda p: p["bin_edges"].__setitem__(0, float("nan")),
-    "bin-edges-decreasing": lambda p: p["bin_edges"].reverse(),
-    "format-version-float": lambda p: p.__setitem__("format_version", 2.0),
+    "bin-edges-nan": lambda f: f.meta.__setitem__(
+        "bin_edges", json.dumps([float("nan")] + json.loads(f.meta["bin_edges"])[1:])),
+    "bin-edges-decreasing": lambda f: f.meta.__setitem__(
+        "bin_edges", json.dumps(json.loads(f.meta["bin_edges"])[::-1])),
+    "bin-edges-bool": lambda f: f.meta.__setitem__(
+        "bin_edges", json.dumps([True] + json.loads(f.meta["bin_edges"])[1:])),
+    "format-version-float": _set_meta("format_version", "3.0"),
+    "metadata-missing": lambda f: f.header.pop("__metadata__"),
+    "metadata-not-string": _set_meta("format_version", 3),
+    "config-nested-json": _set_meta("config", NESTED_JSON),
+    "offsets-gap": lambda f: f.header["head.head_w1"].__setitem__(
+        "data_offsets", [o + 8 for o in f.header["head.head_w1"]["data_offsets"]]),
+    "trailing-bytes": _trailing_bytes,
 }
 
 
 @pytest.mark.parametrize("edit", MODEL_EDITS.values(), ids=MODEL_EDITS.keys())
 def test_eval_bad_model_file(workspace, tmp_path, capsys, edit):
-    payload = json.loads(workspace["model"].read_text())
-    edit(payload)
-    bad = tmp_path / "model.json"
-    bad.write_text(json.dumps(payload))
+    model = ModelFile.read(workspace["model"])
+    edit(model)
+    bad = tmp_path / "model.safetensors"
+    model.write(bad)
     code, _, err = run_cli(["eval", "--model", bad, "--data", workspace["data"],
                             "--out", tmp_path / "x"], capsys)
     assert code == 3
@@ -438,9 +462,10 @@ def test_eval_bad_model_file(workspace, tmp_path, capsys, edit):
 
 
 def test_eval_version_1_model_names_the_format(workspace, tmp_path, capsys):
-    payload = json.loads(workspace["model"].read_text())
+    model = ModelFile.read(workspace["model"])
+    payload = _format_2_payload(model)
     payload["format_version"] = 1
-    payload["params"] = {k: np.zeros(v["shape"]).tolist() for k, v in payload["params"].items()}
+    payload["params"] = {k: v.tolist() for k, v in model.arrays().items()}
     del payload["sha256"]
     old = tmp_path / "model.json"
     old.write_text(json.dumps(payload))
@@ -449,6 +474,17 @@ def test_eval_version_1_model_names_the_format(workspace, tmp_path, capsys):
     assert code == 3
     assert_one_error_line(err)
     assert "model format 1," in err
+
+
+def test_eval_version_2_model_names_the_format(workspace, tmp_path, capsys):
+    old = tmp_path / "model.json"
+    old.write_text(json.dumps(_format_2_payload(ModelFile.read(workspace["model"])),
+                              sort_keys=True) + "\n")
+    code, _, err = run_cli(["eval", "--model", old, "--data", workspace["data"],
+                            "--out", tmp_path / "x"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    assert "model format 2, but only format 3 can be read; retrain" in err
 
 
 def test_eval_missing_model(workspace, tmp_path, capsys):
@@ -652,7 +688,7 @@ def _negate_patient_id(data: Path, row: int = 2) -> None:
     _set_outcome(data, "patient_id", f"-{pid}", row=row)
 
 
-# fault name -> damage applied to a copy of (cohort directory, model.json)
+# fault name -> damage applied to a copy of (cohort directory, model file)
 FAULTS = {
     "manifest-delete": lambda d, m: (d / "manifest.json").unlink(),
     "manifest-truncate": lambda d, m: _truncate(d / "manifest.json"),
@@ -661,6 +697,7 @@ FAULTS = {
     "manifest-version": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p.__setitem__("format_version", 2)),
     "manifest-directory": lambda d, m: _replace_with_directory(d / "manifest.json"),
+    "manifest-nested-json": lambda d, m: (d / "manifest.json").write_text(NESTED_JSON),
     "manifest-version-bool": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p.__setitem__("format_version", True)),
     "manifest-seed-negative": lambda d, m: _edit_json(
@@ -686,13 +723,20 @@ FAULTS = {
     "volume-inf": lambda d, m: _set_voxel(d / "0_pet.f32", 5, np.inf),
     "model-delete": lambda d, m: m.unlink(),
     "model-truncate": lambda d, m: _truncate(m),
-    "model-field": lambda d, m: _edit_json(m, _flip_one_value),
+    "model-field": lambda d, m: _edit_model(m, _flip_one_value),
+    "model-nested-json": lambda d, m: m.write_text(NESTED_JSON),
 }
+
+
+def _edit_model(path: Path, edit) -> None:
+    model = ModelFile.read(path)
+    edit(model)
+    model.write(path)
 
 
 def _damaged_copy(workspace, tmp_path: Path) -> tuple[Path, Path]:
     data = copy_tree(workspace["data"], tmp_path / "data")
-    model = tmp_path / "model.json"
+    model = tmp_path / "model.safetensors"
     model.write_bytes(workspace["model"].read_bytes())
     return data, model
 
@@ -739,7 +783,7 @@ def test_unwritable_out_exits_2(workspace, tmp_path, capsys, monkeypatch, comman
         for name in ("train", "evaluate", "evaluate_sweep"):
             monkeypatch.setattr(trainer, name, _no_work)
     (tmp_path / "file").write_text("keep\n")
-    written = {"gen": "manifest.json", "train": "model.json", "eval": "metrics.json",
+    written = {"gen": "manifest.json", "train": "model.safetensors", "eval": "metrics.json",
                "sweep": "sweep.csv"}[command]
     (tmp_path / "taken" / written).mkdir(parents=True)  # an output's name is a directory
     out = tmp_path / where

@@ -1,6 +1,5 @@
 """Training loop, objective composition, ablation freezing, evaluation."""
 
-import base64
 import dataclasses
 import hashlib
 import json
@@ -9,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from modelfile import ModelFile, reference_file
 from robsurv import autodiff as ad
 from robsurv import cli, fusion, stats, synthdata, trainer, vq
 from robsurv.errors import (
@@ -722,7 +722,7 @@ def test_untrained_model_sits_near_chance(cohort24):
 
 def test_save_load_round_trip(trained, tmp_path):
     model, _ = trained
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.safetensors"
     model.save(path)
     loaded = trainer.SurvivalModel.load(path)
     assert loaded.config == model.config
@@ -735,150 +735,203 @@ def test_save_load_round_trip(trained, tmp_path):
         assert loaded.params[k].requires_grad
         assert loaded.params[k].data.flags.writeable
     assert loaded.params["fuse.mix_ct"].shape == loaded.params["fuse.mix_pet"].shape == ()
-    loaded.save(tmp_path / "again.json")
-    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    loaded.save(tmp_path / "again.safetensors")
+    assert (tmp_path / "again.safetensors").read_bytes() == path.read_bytes()
 
 
-def test_saved_params_are_base64_tensors(trained, tmp_path):
+def test_saved_params_are_raw_f64_tensors(trained, tmp_path):
     model, _ = trained
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.safetensors"
     model.save(path)
-    payload = json.loads(path.read_text())
-    assert payload["format_version"] == trainer.MODEL_FORMAT_VERSION == 2
-    digest = hashlib.sha256()
+    data = path.read_bytes()
+    size = int.from_bytes(data[:8], "little")
+    assert size % 8 == 0 and data[8] == ord("{")
+    saved = ModelFile.read(path)
+    assert saved.meta["format_version"] == str(trainer.MODEL_FORMAT_VERSION) == "3"
+    assert all(type(v) is str for v in saved.meta.values())
+    assert len(saved.buffer) == 8 * sum(p.size for p in model.params.values())
+    offset = 0
     for name in sorted(model.params):
-        entry = payload["params"][name]
-        assert entry.keys() == {"shape", "f64le"}
-        assert isinstance(entry["f64le"], str)  # no JSON number arrays
-        assert entry["shape"] == list(model.params[name].shape)
-        raw = base64.b64decode(entry["f64le"])
-        assert raw == model.params[name].data.astype("<f8").tobytes()
-        digest.update(raw)
-    assert payload["sha256"] == digest.hexdigest()
-
-
-def _reference_file(model) -> bytes:
-    """What ``save`` must write: the whole payload through ``json.dumps``."""
-    params, digest = {}, hashlib.sha256()
-    for name in sorted(model.params):
+        entry = saved.header[name]
         raw = model.params[name].data.astype("<f8").tobytes()
-        digest.update(raw)
-        params[name] = {"shape": list(model.params[name].shape),
-                        "f64le": base64.b64encode(raw).decode()}
-    payload = {"format_version": 2, "config": trainer.config_to_dict(model.config),
-               "bin_edges": [float(e) for e in model.bin_edges], "params": params,
-               "sha256": digest.hexdigest()}
-    return (json.dumps(payload, sort_keys=True) + "\n").encode()
+        assert entry == {"dtype": "F64", "shape": list(model.params[name].shape),
+                         "data_offsets": [offset, offset + len(raw)]}
+        assert saved.buffer[offset:offset + len(raw)] == raw
+        offset += len(raw)
+    assert saved.meta["sha256"] == hashlib.sha256(saved.buffer).hexdigest()
 
 
-def test_saved_bytes_are_the_json_dump(trained, cohort24, tmp_path):
+def test_saved_bytes_match_reference_writer(trained, cohort24, tmp_path):
     no_vq = _fresh_model(tiny_config(use_quantization=False), cohort24, seed=5)
     for model in (trained[0], no_vq):
-        model.save(tmp_path / "model.json")
-        assert (tmp_path / "model.json").read_bytes() == _reference_file(model)
+        model.save(tmp_path / "model.safetensors")
+        assert (tmp_path / "model.safetensors").read_bytes() == reference_file(model)
 
 
-# size and sha256 of model.json for a seeded init; save must keep writing these bytes
+# size and sha256 of the model file for a seeded init; save must keep writing these bytes
 GOLDEN_MODEL_FILES = [
-    ({}, 4_656_871, "4c60fb8f735691a384c8a07b2b02ad594c6ca2bc392c37d86e9a77ebf3196999"),
-    ({"n_risks": 2, "fusion": {"n_heads": 2}}, 6_082_407,
-     "ba8f24e94c7e498d1106f0be04ca606e0629680420f9235c17298aad38b86e02"),
+    ({}, 3_495_472, "662546350113928279c9f897bfc8cc108d09fce1efbde2b45809aebd232eac9a"),
+    ({"n_risks": 2, "fusion": {"n_heads": 2}}, 4_564_616,
+     "ced3a1a2257fa36d7f7f30e730b952fb42dbe987dfff572af977d34dbba5a6a8"),
 ]
 
 
-@pytest.mark.parametrize("overrides,size,sha", GOLDEN_MODEL_FILES)
+@pytest.mark.parametrize("overrides,size,sha", GOLDEN_MODEL_FILES,
+                         ids=["default", "risks2-heads2"])
 def test_saved_bytes_match_golden_digest(tmp_path, overrides, size, sha):
     config = trainer.config_from_dict(overrides)
     model = trainer.SurvivalModel.init(config, np.random.default_rng([0, 99]),
                                        np.arange(1.0, 10.0))
-    model.save(tmp_path / "model.json")
-    data = (tmp_path / "model.json").read_bytes()
+    model.save(tmp_path / "model.safetensors")
+    data = (tmp_path / "model.safetensors").read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == (size, sha)
-
-
-def _set_tensor(payload: dict, name: str, array) -> None:
-    """Store ``array`` as parameter ``name`` and re-seal the checksum."""
-    array = np.asarray(array, dtype="<f8")
-    payload["params"][name] = {"shape": list(array.shape),
-                               "f64le": base64.b64encode(array.tobytes()).decode()}
-    digest = hashlib.sha256()
-    for key in sorted(payload["params"]):
-        digest.update(base64.b64decode(payload["params"][key]["f64le"]))
-    payload["sha256"] = digest.hexdigest()
 
 
 def test_load_rejects_bad_files(trained, tmp_path):
     model, _ = trained
     with pytest.raises(DataFormatError):
-        trainer.SurvivalModel.load(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
+        trainer.SurvivalModel.load(tmp_path / "missing.safetensors")
+    bad = tmp_path / "bad.safetensors"
     bad.write_text("{not json")
     with pytest.raises(DataFormatError):
         trainer.SurvivalModel.load(bad)
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.safetensors"
     model.save(path)
-    payload = json.loads(path.read_text())
-    payload["format_version"] = 99
-    bad.write_text(json.dumps(payload))
-    with pytest.raises(DataFormatError):
+    saved = ModelFile.read(path)
+    saved.meta["format_version"] = "99"
+    saved.write(bad)
+    with pytest.raises(DataFormatError, match="model format '99'"):
         trainer.SurvivalModel.load(bad)
-    payload = json.loads(path.read_text())
-    del payload["params"]["head.head_w1"]
-    _set_tensor(payload, "head.head_b1", model.params["head.head_b1"].data)  # re-seal
-    bad.write_text(json.dumps(payload))
+    saved = ModelFile.read(path)
+    arrays = saved.arrays()
+    del arrays["head.head_w1"]
+    saved.set_arrays(arrays)  # sound layout and checksum, one parameter short
+    saved.write(bad)
     with pytest.raises(DataFormatError, match="head.head_w1"):
         trainer.SurvivalModel.load(bad)
-    payload = json.loads(path.read_text())
-    _set_tensor(payload, "head.head_b1", [[0.0]])  # sound encoding, wrong shape
-    bad.write_text(json.dumps(payload))
+    saved = ModelFile.read(path)
+    saved.set_arrays({**saved.arrays(), "head.head_b1": [[0.0]]})  # sound encoding, wrong shape
+    saved.write(bad)
     with pytest.raises(DataFormatError, match="do not match the config"):
         trainer.SurvivalModel.load(bad)
     for corrupt in BAD_MODEL_EDITS:
-        payload = json.loads(path.read_text())
-        corrupt(payload)
-        bad.write_text(json.dumps(payload))
+        saved = ModelFile.read(path)
+        corrupt(saved)
+        saved.write(bad)
+        with pytest.raises(DataFormatError):
+            trainer.SurvivalModel.load(bad)
+    for corrupt in BAD_MODEL_BYTES:
+        bad.write_bytes(corrupt(path.read_bytes()))
         with pytest.raises(DataFormatError):
             trainer.SurvivalModel.load(bad)
 
 
 def _edit_entry(name: str, **changes):
-    return lambda p: p["params"][name].update(changes)
+    return lambda f: f.header[name].update(changes)
 
 
 def _rename_key(name: str, old: str, new: str):
-    return lambda p: p["params"][name].__setitem__(new, p["params"][name].pop(old))
+    return lambda f: f.header[name].__setitem__(new, f.header[name].pop(old))
 
 
-# each edit damages one part of a saved model file
+def _set_meta(key: str, value):
+    return lambda f: f.meta.__setitem__(key, value)
+
+
+def _edit_config(edit):
+    return lambda f: f.edit_config(edit)
+
+
+def _shift_offsets(name: str, begin: int, end: int):
+    return lambda f: f.header[name].__setitem__(
+        "data_offsets", [o + d for o, d in zip(f.header[name]["data_offsets"], (begin, end))])
+
+
+def _swap_offsets(a: str, b: str):
+    def edit(f):
+        f.header[a]["data_offsets"], f.header[b]["data_offsets"] = (
+            f.header[b]["data_offsets"], f.header[a]["data_offsets"])
+    return edit
+
+
+def _set_buffer(cut):
+    def edit(f):
+        f.buffer = cut(f.buffer)
+        f.reseal()  # the checksum holds, so only the layout is wrong
+    return edit
+
+
+NESTED = "[" * 100_000 + "]" * 100_000  # json raises RecursionError on it
+
+# each edit damages one part of a saved model file; the header keeps its JSON form
 BAD_MODEL_EDITS = [
-    lambda p: p["params"].__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # format-1 list
-    _edit_entry("head.head_w1", shape=[2, 2], f64le=base64.b64encode(bytes(24)).decode()),
-    _edit_entry("head.head_b1", f64le="not base64!"),
-    _edit_entry("head.head_b1", f64le=5),
+    lambda f: f.header.__setitem__("head.head_w1", [[0.0, 1.0], [2.0]]),  # format-1 list
+    _edit_entry("head.head_w1", shape=[2, 2]),  # offsets no longer match the shape
+    _edit_entry("head.head_b1", data_offsets=5),
+    lambda f: f.header["ct.codebook"]["data_offsets"].__setitem__(0, False),  # first entry
     _edit_entry("head.head_b1", shape=[-1]),
     _edit_entry("head.head_b1", shape=3),
-    _rename_key("head.head_b1", "f64le", "f32le"),  # a dtype other than float64
-    lambda p: p["params"]["head.head_b1"].__setitem__("extra", 1),
-    lambda p: p.__setitem__("sha256", "0" * 64),
-    lambda p: p.pop("sha256"),
-    lambda p: p.__setitem__("format_version", 1),
-    lambda p: p.__setitem__("format_version", 2.0),
-    lambda p: p["params"].__setitem__("head.head_b1", "zeros"),
-    lambda p: p.__setitem__("params", []),
-    lambda p: p["config"].__setitem__("lr", -1),
-    lambda p: p["config"].__setitem__("encoder", 5),
-    lambda p: p["config"].__setitem__("bogus", 1),
-    lambda p: p["config"].pop("rank_sigma"),
-    lambda p: p["config"]["fusion"].pop("d_model"),  # default width, saved shapes differ
-    lambda p: p.__setitem__("config", 3),
-    lambda p: p.__setitem__("bin_edges", [0.5]),
-    lambda p: p.__setitem__("bin_edges", [[1.0], 2.0]),
+    _edit_entry("head.head_b1", dtype="F32"),
+    _rename_key("head.head_b1", "dtype", "type"),
+    lambda f: f.header["head.head_b1"].__setitem__("extra", 1),
+    lambda f: f.header.__setitem__("head.head_b1", "zeros"),
+    _shift_offsets("head.head_w1", 8, 8),  # a gap before head.head_w1
+    _shift_offsets("head.head_w1", -8, -8),  # overlapping the entry before it
+    _swap_offsets("head.head_b1", "head.head_w1"),  # out of sorted-name order
+    _set_buffer(lambda b: b[:-8]),  # the last parameter is cut short
+    _set_buffer(lambda b: b + bytes(8)),  # trailing bytes
+    _set_meta("sha256", "0" * 64),
+    lambda f: f.meta.pop("sha256"),
+    lambda f: f.meta.__setitem__("extra", "1"),
+    lambda f: f.header.pop("__metadata__"),
+    lambda f: f.header.__setitem__("__metadata__", "3"),
+    _set_meta("format_version", 3),  # metadata values are strings
+    lambda f: f.meta.__setitem__("config", f.config()),
+    _set_meta("format_version", "2"),
+    _set_meta("format_version", ""),
+    _set_meta("format_version", "3.0"),
+    _edit_config(lambda c: c.__setitem__("lr", -1)),
+    _edit_config(lambda c: c.__setitem__("encoder", 5)),
+    _edit_config(lambda c: c.__setitem__("bogus", 1)),
+    _edit_config(lambda c: c.pop("rank_sigma")),
+    _edit_config(lambda c: c["fusion"].pop("d_model")),  # default width, saved shapes differ
+    _set_meta("config", "3"),
+    _set_meta("config", "{not json"),
+    _set_meta("config", NESTED),
+    _set_meta("bin_edges", "[0.5]"),
+    _set_meta("bin_edges", "[[1.0], 2.0]"),
+    _set_meta("bin_edges", NESTED),
+    lambda f: setattr(f, "header", []),  # the header is not a JSON object
 ]
+
+# each edit damages the file below its header's JSON
+BAD_MODEL_BYTES = [
+    lambda data: data[:4],  # shorter than the length prefix
+    lambda data: (1 << 40).to_bytes(8, "little") + data[8:],  # header past EOF
+    lambda data: (len(data) - 7).to_bytes(8, "little") + data[8:],
+    lambda data: data[:8] + b"\xff" + data[9:],  # the header is not UTF-8
+    lambda data: data[:8] + b"[" + data[9:],  # nor JSON
+    lambda data: len(NESTED).to_bytes(8, "little") + NESTED.encode(),  # nested JSON header
+]
+
+
+@pytest.mark.parametrize("edge", [True, "2", "3.0"], ids=["bool", "int-string", "float-string"])
+def test_load_rejects_bin_edges_that_are_not_numbers(trained, tmp_path, edge):
+    model, _ = trained
+    path = tmp_path / "model.safetensors"
+    model.save(path)
+    saved = ModelFile.read(path)
+    edges = json.loads(saved.meta["bin_edges"])
+    # numpy would coerce any of these to a float and load the file
+    saved.meta["bin_edges"] = json.dumps([edge] + edges[1:])
+    saved.write(path)
+    with pytest.raises(DataFormatError, match="bin_edges must be a JSON list of numbers"):
+        trainer.SurvivalModel.load(path)
 
 
 def test_load_reads_shapes_from_the_table(trained, tmp_path, monkeypatch):
     model, _ = trained
-    path = tmp_path / "model.json"
+    path = tmp_path / "model.safetensors"
     model.save(path)
 
     def refuse(config, rng):
