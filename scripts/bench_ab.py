@@ -13,7 +13,8 @@ both SHAs, the environment line, every run's metrics, and per workload and
 end-to-end metric: both medians, the % change, the pairs the change won
 (judged by ``better`` in ``BENCHMARK.json``, ties count for neither), the
 parent's interquartile range, a verdict against the metric's bound, the
-failed/attempted operation counts and each side's ``src/`` line count.
+failed/attempted operation counts and each side's ``src/`` line count and
+tape length (see ``tape_length``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# one default-config batch-2 forward plus losses, counted by the checkout's own script
+TAPE_PROBE = ("import sys; sys.path.insert(0, 'scripts'); import step_digest; "
+              "print(step_digest.step_digest({}, 2)[0])")
 
 
 def git(*args: str) -> str:
@@ -43,6 +47,14 @@ def parse_output(stdout: str) -> tuple[dict, dict]:
     env = next(json.loads(line.split(" ", 1)[1]) for line in lines
                if line.startswith("environment "))
     return env, json.loads(lines[-1])
+
+
+def tape_length(checkout: Path) -> int | None:
+    """The tape records of one default-config batch-2 step in ``checkout``, as
+    its ``scripts/step_digest.py`` counts them; None if the count fails."""
+    done = subprocess.run([sys.executable, "-c", TAPE_PROBE], cwd=checkout,
+                          capture_output=True, text=True, check=False)
+    return int(done.stdout) if done.returncode == 0 else None
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -138,6 +150,7 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(tree), parent_sha)
         try:
+            tapes = {"parent": tape_length(tree), "change": tape_length(ROOT)}
             for pair in range(args.pairs):
                 seed = args.first_seed + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -156,7 +169,8 @@ def main(argv=None) -> int:
 
     envs = {side: next((r["environment"] for r in runs
                         if r["side"] == side and "environment" in r), {}) for side in SIDES}
-    code = {side: {k: envs[side].get(k) for k in ("src_sha256", "src_lines")} for side in SIDES}
+    code = {side: {**{k: envs[side].get(k) for k in ("src_sha256", "src_lines")},
+                   "tape_records": tapes[side]} for side in SIDES}
     env = envs["change"]
     report = {
         "parent": {"rev": args.parent, "sha": parent_sha, **code["parent"]},

@@ -154,8 +154,12 @@ def generate_cohort(n: int, config: CohortConfig) -> SyntheticCohort:
         raise ConfigError("cohort needs at least 2 patients")
     side = config.volume_side
     v = side ** 3
-    ct = np.empty((n, v))
-    pet = np.empty((n, v))
+    try:
+        ct, pet = np.empty((n, v)), np.empty((n, v))
+    # numpy refuses a size past its dimension limit with ValueError
+    except (MemoryError, ValueError):
+        raise ConfigError(f"a cohort of {n} patients at side {side} needs {16 * n * v:.3g} "
+                          f"bytes of volumes, more than can be allocated") from None
     risk = np.empty(n)
     times = np.empty(n, dtype=int)
     events = np.empty(n, dtype=int)
@@ -352,9 +356,11 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raise DataFormatError(f"outcomes.csv: patient {pid} has noisy {flag}, not 0 or 1")
 
     v = side ** 3
-    volumes = {"ct": np.empty((len(ids), v)), "pet": np.empty((len(ids), v))}
+    # allocated once a file has borne out the manifest's side, which a damaged
+    # manifest could make too large to allocate; an empty cohort reads no file
+    volumes = {"ct": np.empty((0, 0)), "pet": np.empty((0, 0))}
     for row, pid in enumerate(ids):
-        for name, block in volumes.items():
+        for name in volumes:
             file = f"{pid}_{name}.f32"
             try:
                 # os.path.join: a pathlib join per file costs as much as its read
@@ -367,7 +373,9 @@ def load_cohort(data_dir) -> SyntheticCohort:
             if len(raw) != 4 * v:
                 raise DataFormatError(f"{file} holds {len(raw)} bytes, expected {v} float32 "
                                       f"voxels ({4 * v} bytes)")
-            block[row] = np.frombuffer(raw, dtype="<f4")
+            if row == 0:
+                volumes[name] = np.empty((len(ids), v))
+            volumes[name][row] = np.frombuffer(raw, dtype="<f4")
     for name, block in volumes.items():
         finite = np.isfinite(block).all(axis=1)
         if not finite.all():

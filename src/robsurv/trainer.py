@@ -42,6 +42,7 @@ from .synthdata import NoiseSpec, SyntheticCohort, apply_noise_mix, noisy_rows
 MODEL_FORMAT_VERSION = 3
 # every value under a model file's __metadata__ is a string, as safetensors requires
 _METADATA_KEYS = {"format_version", "config", "bin_edges", "sha256"}
+_BIN_EDGES_FAULT = "bin_edges must be a JSON list of numbers written as floats"
 
 # seed salts: keep the independent random streams from colliding
 SPLIT_SALT = 7919
@@ -100,6 +101,8 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.risk_weights is not None and len(self.risk_weights) != self.n_risks:
             raise ConfigError("risk_weights must have one entry per risk")
+        if not all(w >= 0 for w in self.risk_weights or ()):  # NaN fails too
+            raise ConfigError(f"risk_weights must be non-negative, got {self.risk_weights}")
         self.fusion.n_patches(self.encoder)  # latent grid must split into whole patches
 
 
@@ -131,6 +134,10 @@ def _build(cls, raw, label: str):
             if not isinstance(value, list) or {type(w) for w in value} - {int, float}:
                 raise ConfigError(f"risk_weights must be a list of numbers, got {value!r}")
             value = tuple(value)
+        # JSON's Infinity, NaN and overflowing literals such as 1e400 parse as floats
+        if any(type(v) is float and not math.isfinite(v)
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{label} field {name} must be finite, got {value!r}")
         values[name] = _build(_SECTIONS[name], value, name) if name in _SECTIONS else value
     return cls(**values)
 
@@ -339,28 +346,16 @@ class SurvivalModel:
 
     def save(self, path) -> None:
         """Write the model in the safetensors layout: an 8-byte little-endian
-        header length, a sorted-key JSON header padded with spaces to a
-        multiple of 8, then every parameter's little-endian float64 bytes in
-        C order, in sorted-name order.  The header's ``__metadata__`` holds the
-        format version, config and bin edges as JSON text, and the sha256 of
-        the parameter bytes; the round trip is bitwise exact."""
-        entries, blobs, digest, offset = {}, [], hashlib.sha256(), 0
+        header length, the header ``_header`` builds, then every parameter's
+        little-endian float64 bytes in C order, in sorted-name order; the
+        round trip is bitwise exact."""
+        blobs, digest = [], hashlib.sha256()
         for name in sorted(self.params):
-            data = np.require(self.params[name].data, "<f8", "C")  # 0-d stays 0-d
-            raw = memoryview(data).cast("B")
+            raw = memoryview(np.require(self.params[name].data, "<f8", "C")).cast("B")
             digest.update(raw)
-            entries[name] = {"dtype": "F64", "shape": list(data.shape),
-                             "data_offsets": [offset, offset + raw.nbytes]}
             blobs.append(raw)
-            offset += raw.nbytes
-        entries["__metadata__"] = {
-            "format_version": str(MODEL_FORMAT_VERSION),
-            "config": json.dumps(config_to_dict(self.config), sort_keys=True),
-            "bin_edges": json.dumps([float(e) for e in self.bin_edges]),
-            "sha256": digest.hexdigest(),
-        }
-        header = json.dumps(entries, sort_keys=True).encode()
-        header += b" " * (-len(header) % 8)
+        shapes = {name: p.shape for name, p in self.params.items()}  # 0-d stays 0-d
+        header = _header(shapes, self.config, self.bin_edges, digest.hexdigest())
         atomic_bytes(path, [len(header).to_bytes(8, "little"), header, *blobs])
 
     @classmethod
@@ -393,7 +388,7 @@ class SurvivalModel:
         header = json.loads(blob[8:8 + size].decode())
         if not isinstance(header, dict):
             raise DataFormatError("the header is not a JSON object")
-        meta = header.pop("__metadata__", None)
+        meta = header.get("__metadata__")
         if (not isinstance(meta, dict) or meta.keys() != _METADATA_KEYS
                 or any(type(v) is not str for v in meta.values())):
             raise DataFormatError("__metadata__ must map format_version, config, "
@@ -401,57 +396,61 @@ class SurvivalModel:
         version = meta["format_version"]
         if version != str(MODEL_FORMAT_VERSION):
             raise DataFormatError(_unreadable_format(version))
-        raw = json.loads(meta["config"])
-        # save writes every field, so a missing one means a damaged file
-        missing = sorted({f.name for f in fields(TrainConfig)} - set(raw))
-        if missing:
-            raise DataFormatError(f"config lacks {', '.join(missing)}")
-        config = config_from_dict(raw)
+        config = config_from_dict(json.loads(meta["config"]))
         edges = json.loads(meta["bin_edges"])
-        # a JSON string or bool is damage, not a value to coerce
-        if not isinstance(edges, list) or {type(e) for e in edges} - {int, float}:
-            raise DataFormatError("bin_edges must be a JSON list of numbers")
         buffer = memoryview(blob)[8 + size:]
         if hashlib.sha256(buffer).hexdigest() != meta["sha256"]:
             raise DataFormatError("parameter bytes do not match the file's sha256")
-        params = _decode_params(header, buffer)
-        shapes = {k: shape for k, (shape, _, _) in param_specs(config).items()}
-        wrong = sorted(k for k in shapes.keys() | params.keys()
-                       if k not in params or params[k].shape != shapes.get(k))
-        if wrong:
-            raise DataFormatError(f"parameters {', '.join(wrong)} do not match the config")
+        # only save's header for this config and these edges is accepted
+        shapes = {name: shape for name, (shape, _, _) in param_specs(config).items()}
+        try:
+            expected = _header(shapes, config, edges, meta["sha256"])
+        except (TypeError, ValueError):  # edges that float() refuses
+            raise DataFormatError(_BIN_EDGES_FAULT) from None
+        if blob[8:8 + size] != expected:
+            raise DataFormatError(_header_fault(header, json.loads(expected)))
+        if len(buffer) != 8 * sum(math.prod(shape) for shape in shapes.values()):
+            raise DataFormatError(f"{len(buffer)} bytes follow the header, not what it lays out")
+        params = {}
+        for name, shape in shapes.items():
+            begin, end = header[name]["data_offsets"]
+            # ad.Tensor copies the read-only view, so the parameter is writable
+            params[name] = ad.Tensor(np.frombuffer(buffer[begin:end], "<f8").reshape(shape),
+                                     requires_grad=True)
         return cls(params, config, edges)
 
 
-def _decode_params(entries: dict, buffer: memoryview) -> dict:
-    """Tensors from the header's ``{"dtype", "shape", "data_offsets"}``
-    entries, whose byte ranges must tile ``buffer`` in sorted-name order."""
-    params, offset = {}, 0
-    for name in sorted(entries):
-        entry = entries[name]
-        if not isinstance(entry, dict) or entry.keys() != {"data_offsets", "dtype", "shape"}:
-            raise DataFormatError(f"parameter {name} must be an object with keys "
-                                  f"data_offsets, dtype and shape")
-        if entry["dtype"] != "F64":
-            raise DataFormatError(f"parameter {name} has dtype {entry['dtype']!r}, not F64")
-        shape = entry["shape"]
-        if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
-            raise DataFormatError(f"parameter {name} has shape {shape!r}")
-        count = math.prod(shape)
-        end = offset + 8 * count
-        span = entry["data_offsets"]
-        if span != [offset, end] or any(type(o) is not int for o in span):
-            raise DataFormatError(f"parameter {name} has data_offsets {span!r}, "
-                                  f"but shape {shape} after {offset} bytes needs {[offset, end]}")
-        if end > len(buffer):
-            raise DataFormatError(f"parameter {name} runs past the end of the file")
-        # ad.Tensor copies the read-only view, so the parameter is writable
-        params[name] = ad.Tensor(np.frombuffer(buffer, "<f8", count, offset).reshape(shape),
-                                 requires_grad=True)
+def _header(shapes: dict, config: TrainConfig, bin_edges, sha256: str) -> bytes:
+    """The model file header ``save`` writes and ``load`` requires: one
+    ``{"dtype", "shape", "data_offsets"}`` entry per parameter, laid out back
+    to back in sorted-name order from offset 0, and a ``__metadata__`` of the
+    format version, config, bin edges and buffer sha256 as strings, all as
+    sorted-key JSON padded with spaces to a multiple of 8 bytes."""
+    header, offset = {}, 0
+    for name in sorted(shapes):
+        end = offset + 8 * math.prod(shapes[name])
+        header[name] = {"dtype": "F64", "shape": list(shapes[name]), "data_offsets": [offset, end]}
         offset = end
-    if offset != len(buffer):
-        raise DataFormatError(f"{len(buffer) - offset} bytes follow the last parameter")
-    return params
+    header["__metadata__"] = {
+        "format_version": str(MODEL_FORMAT_VERSION),
+        "config": json.dumps(config_to_dict(config), sort_keys=True),
+        "bin_edges": json.dumps([float(e) for e in bin_edges]),
+        "sha256": sha256,
+    }
+    text = json.dumps(header, sort_keys=True).encode()
+    return text + b" " * (-len(text) % 8)
+
+
+def _header_fault(header: dict, expected: dict) -> str:
+    """What sets a file's parsed header apart from the one ``save`` writes."""
+    meta, want = header.pop("__metadata__"), expected.pop("__metadata__")
+    if meta["config"] != want["config"]:
+        return "config differs from the JSON save writes for it: a field is missing or altered"
+    if meta["bin_edges"] != want["bin_edges"]:
+        return _BIN_EDGES_FAULT
+    wrong = sorted(k for k in header.keys() | expected.keys() if header.get(k) != expected.get(k))
+    return (f"parameters {', '.join(wrong)} do not match the config" if wrong
+            else "the header is not laid out as save writes it")
 
 
 def _unreadable_format(version) -> str:

@@ -90,3 +90,7 @@ def test_summary_medians_wins_iqr_and_counts():
 ])
 def test_compare_verdicts(parent, change, better, expected):
     assert bench_ab.compare(parent, change, better, 0.25)["verdict"] == expected
+
+
+def test_tape_length_counts_the_default_step():
+    assert bench_ab.tape_length(ROOT) == 169

@@ -94,6 +94,17 @@ def test_gen_zero_patients_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+# sizes numpy refuses at once (petabytes), so no test allocates them
+@pytest.mark.parametrize("n, side", [("2", "100000"), ("100000000000000", "4")])
+def test_gen_unallocatable_cohort_is_usage_error(tmp_path, capsys, n, side):
+    code, pairs, err = run_cli(["gen", "--n", n, "--side", side,
+                                "--out", tmp_path / "x"], capsys)
+    assert code == 2
+    assert not pairs
+    assert_one_error_line(err)
+    assert f"a cohort of {n} patients at side {side}" in err
+
+
 def test_gen_bad_censor_rate(tmp_path, capsys):
     code, _, _ = run_cli(["gen", "--n", "4", "--censor-rate", "1.5",
                           "--out", tmp_path / "x"], capsys)
@@ -218,6 +229,7 @@ def test_train_volume_side_mismatch(workspace, tmp_path, capsys):
     json.dumps({"encoder": 5}),
     json.dumps({"risk_weights": 5}),
     json.dumps({"encoder": {"volume_side": 6, "latent_grid": 3}}),
+    json.dumps({"lr": float("inf")}),  # written as Infinity
 ])
 def test_train_bad_config_file(workspace, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -706,6 +718,8 @@ FAULTS = {
         d / "manifest.json", lambda p: p["cohort"].__setitem__("volume_side", 8.9)),
     "manifest-seed-string": lambda d, m: _edit_json(
         d / "manifest.json", lambda p: p["cohort"].__setitem__("seed", "1")),
+    "manifest-side-huge": lambda d, m: _edit_json(  # 4e15 bytes per volume
+        d / "manifest.json", lambda p: p["cohort"].__setitem__("volume_side", 100_000)),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
     "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
     "outcomes-duplicate-id": lambda d, m: _set_outcome(

@@ -64,6 +64,7 @@ def trained(cohort24):
     dict(n_bins=0),
     dict(rank_sigma=0.0),
     dict(risk_weights=(1.0, 2.0)),  # n_risks stays 1
+    dict(risk_weights=(-1.0,)),
     dict(seed=-1),
 ])
 def test_config_rejects(bad):
@@ -114,6 +115,13 @@ def test_config_from_dict_partial_and_nested():
     {"fusion": {"d_model": "8"}},
     {"fusion": {"preserve_weight_pet": True}},
     {"train_noise": {"noisy_fraction": "0.5"}},
+    {"lr": float("inf")},
+    {"rank_sigma": float("inf")},
+    {"alpha1": float("inf")},
+    {"fusion": {"preserve_weight_pet": float("inf")}},
+    {"risk_weights": [float("nan")]},
+    {"risk_weights": [float("inf")]},
+    {"risk_weights": [-1.0]},
 ])
 def test_config_from_dict_rejects(raw):
     with pytest.raises(ConfigError):
@@ -768,6 +776,17 @@ def test_saved_bytes_match_reference_writer(trained, cohort24, tmp_path):
         assert (tmp_path / "model.safetensors").read_bytes() == reference_file(model)
 
 
+def test_reference_writer_file_loads_bitwise(trained, tmp_path):
+    model, _ = trained
+    path = tmp_path / "model.safetensors"
+    path.write_bytes(reference_file(model))
+    loaded = trainer.SurvivalModel.load(path)
+    assert loaded.config == model.config
+    assert loaded.bin_edges.tobytes() == model.bin_edges.tobytes()
+    assert {k: p.data.tobytes() for k, p in loaded.params.items()} == {
+        k: p.data.tobytes() for k, p in model.params.items()}
+
+
 # size and sha256 of the model file for a seeded init; save must keep writing these bytes
 GOLDEN_MODEL_FILES = [
     ({}, 3_495_472, "662546350113928279c9f897bfc8cc108d09fce1efbde2b45809aebd232eac9a"),
@@ -895,11 +914,19 @@ BAD_MODEL_EDITS = [
     _edit_config(lambda c: c.__setitem__("bogus", 1)),
     _edit_config(lambda c: c.pop("rank_sigma")),
     _edit_config(lambda c: c["fusion"].pop("d_model")),  # default width, saved shapes differ
+    # nested fields whose defaults leave every shape as saved
+    _edit_config(lambda c: c["train_noise"].pop("ct_sigma")),
+    _edit_config(lambda c: c["fusion"].pop("preserve_weight_pet")),
+    lambda f: f.meta.__setitem__("config", f.meta["config"].replace(", ", ",")),  # compact JSON
     _set_meta("config", "3"),
     _set_meta("config", "{not json"),
     _set_meta("config", NESTED),
     _set_meta("bin_edges", "[0.5]"),
     _set_meta("bin_edges", "[[1.0], 2.0]"),
+    _set_meta("bin_edges", "1"),
+    lambda f: f.meta.__setitem__("bin_edges", f.meta["bin_edges"].replace(", ", ",")),
+    lambda f: f.meta.__setitem__(  # integer edges: save writes floats
+        "bin_edges", json.dumps([round(e) for e in json.loads(f.meta["bin_edges"])])),
     _set_meta("bin_edges", NESTED),
     lambda f: setattr(f, "header", []),  # the header is not a JSON object
 ]
@@ -915,14 +942,15 @@ BAD_MODEL_BYTES = [
 ]
 
 
-@pytest.mark.parametrize("edge", [True, "2", "3.0"], ids=["bool", "int-string", "float-string"])
+@pytest.mark.parametrize("edge", [True, "2", "3.0", 2],
+                         ids=["bool", "int-string", "float-string", "int"])
 def test_load_rejects_bin_edges_that_are_not_numbers(trained, tmp_path, edge):
     model, _ = trained
     path = tmp_path / "model.safetensors"
     model.save(path)
     saved = ModelFile.read(path)
     edges = json.loads(saved.meta["bin_edges"])
-    # numpy would coerce any of these to a float and load the file
+    # numpy would coerce any of these to a float and load the file; save writes floats
     saved.meta["bin_edges"] = json.dumps([edge] + edges[1:])
     saved.write(path)
     with pytest.raises(DataFormatError, match="bin_edges must be a JSON list of numbers"):
