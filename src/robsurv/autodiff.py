@@ -6,7 +6,7 @@ pull)``, where ``pull`` maps the output adjoint to one gradient array (or
 None) per input.  Every primitive makes its output with ``_record(data,
 inputs, pull)``, which wraps the array and appends the record when an input
 needs a gradient.  ``_binary`` (add, sub, mul, div) and ``_unary`` (exp,
-log, sigmoid, relu, clip_passthrough, cumsum, cumprod) build a primitive
+log, sigmoid, relu, cumsum, cumprod) build a primitive
 from a forward function and gradient rules ``grad(g, x, y)``, and sum and
 mean share one reduction.  The pulls of add, sub, mul, div and linear, the
 primitives that take constant operands (masks, the positional table, input
@@ -43,10 +43,10 @@ Rules kept deliberately narrow:
   transpose -> reshape chain once; ``reshape`` and ``transpose`` record
   a ``rearrange``.  numpy checks the shapes and the permutation, and
   whatever it rejects raises ``ShapeError``.
-* ``detach``, ``straight_through`` and ``clip_passthrough`` are the only
-  primitives whose declared Jacobian differs from the true local
-  derivative of their forward map; everything else is checkable against
-  central finite differences.
+* ``detach`` and ``straight_through`` are the only primitives whose
+  declared Jacobian differs from the true local derivative of their
+  forward map; everything else is checkable against central finite
+  differences.
 
 Recording is disabled inside a ``no_grad()`` block, so forward evaluation
 of a frozen model allocates no tape and is safe to run concurrently.
@@ -69,7 +69,7 @@ __all__ = [
     "exp", "log", "sigmoid", "relu", "l2norm",
     "cumsum", "cumprod", "concat", "reshape", "transpose", "rearrange", "slice_along",
     "take_rows",
-    "detach", "straight_through", "clip_passthrough",
+    "detach", "straight_through",
 ]
 
 
@@ -413,11 +413,6 @@ def sigmoid(x) -> Tensor:
 
 def relu(x) -> Tensor:
     return _unary("relu", x, lambda v: np.maximum(v, 0.0), lambda g, x, y: g * (x > 0.0))
-
-
-def clip_passthrough(x, lo: float | None = None, hi: float | None = None) -> Tensor:
-    """Clamp values into [lo, hi]; the gradient passes through unchanged."""
-    return _unary("clip_passthrough", x, lambda v: np.clip(v, lo, hi), _pass)
 
 
 # running accumulations: numpy accumulates sequentially, in axis order

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .vq import EncoderConfig, MODALITIES
 
 ALIGN_NORM_FLOOR = 1e-12
@@ -40,17 +40,13 @@ class FusionConfig:
     preserve_weight_pet: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if self.d_model < 2 or self.d_model % 2:
             raise ConfigError("d_model must be even and >= 2")
-        if self.d_k < 1 or self.n_heads < 1:
-            raise ConfigError("d_k and n_heads must be positive")
-        if self.patch_size < 1:
-            raise ConfigError("patch_size must be positive")
-        if self.channel_reduction < 1:
-            raise ConfigError("channel_reduction must be positive")
-        if self.d_fused < 1:
-            raise ConfigError("d_fused must be positive")
-        if not self.preserve_weight_pet >= 0:
+        for name in ("d_k", "n_heads", "patch_size", "channel_reduction", "d_fused"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive")
+        if self.preserve_weight_pet < 0:
             raise ConfigError("preserve_weight_pet must be nonnegative")
 
     def n_patches(self, enc: EncoderConfig) -> int:

@@ -117,8 +117,9 @@ def likelihood_loss(hazards: HazardGrid, times, events) -> ad.Tensor:
     ev_mask[rows, times[rows] - 1, events[rows] - 1] = 1.0
     sv_mask = (np.arange(p) < (times - 1)[:, None]).astype(np.float64)[:, :, None]
 
-    log_h = ad.log(ad.clip_passthrough(h, LOG_FLOOR, 1.0))
-    log_s = ad.log(ad.clip_passthrough(hazards.keep, LOG_FLOOR, 1.0))
+    # logs of values clamped into [LOG_FLOOR, 1], the gradient passed through the clamp
+    log_h, log_s = (ad.log(ad.straight_through(x, ad.Tensor(np.clip(x.data, LOG_FLOOR, 1.0))))
+                    for x in (h, hazards.keep))
     joint = (ad.Tensor(ev_mask) * log_h).sum() + (ad.Tensor(sv_mask) * log_s).sum()
     return joint * (-1.0 / b)
 

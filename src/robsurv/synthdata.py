@@ -18,12 +18,12 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataFormatError, IncompatibleInputError, ShapeError
+from .errors import ConfigError, DataFormatError, IncompatibleInputError, ShapeError, check_fields
 from .fileio import atomic_bytes, atomic_text, ensure_dir
 
 CT_SIGMA_CHOICES = (0.0, 0.01, 0.05, 0.1)
@@ -42,6 +42,7 @@ class NoiseSpec:
     noisy_fraction: float = 0.0
 
     def __post_init__(self):
+        check_fields(self)
         if self.ct_sigma not in CT_SIGMA_CHOICES:
             raise ConfigError(f"ct_sigma must be one of {CT_SIGMA_CHOICES}")
         if self.pet_level is not None and self.pet_level not in PET_LEVELS:
@@ -62,6 +63,7 @@ class CohortConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         if self.volume_side < 4:
             raise ConfigError("volume_side must be at least 4")
         if self.n_risks not in (1, 2):
@@ -251,16 +253,9 @@ def apply_noise_mix(cohort: SyntheticCohort, spec: NoiseSpec, seed: int) -> Synt
 
 
 def cohort_manifest(cohort: SyntheticCohort) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "cohort": {
-            "n": int(cohort.n),
-            "volume_side": int(cohort.config.volume_side),
-            "n_risks": int(cohort.config.n_risks),
-            "censor_rate": float(cohort.config.censor_rate),
-            "seed": int(cohort.config.seed),
-        },
-    }
+    return {"format_version": FORMAT_VERSION,
+            "cohort": {**asdict(cohort.config), "censor_rate": float(cohort.config.censor_rate),
+                       "n": cohort.n}}
 
 
 def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
@@ -281,16 +276,13 @@ def save_cohort(cohort: SyntheticCohort, out_dir) -> None:
     atomic_text(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=1) + "\n")
 
 
-_MANIFEST_TYPES = {"volume_side": (int,), "n": (int,), "n_risks": (int,), "seed": (int,),
-                   "censor_rate": (int, float)}
-
-
 def load_cohort(data_dir) -> SyntheticCohort:
     """Read a cohort written by ``save_cohort``.  A missing, unreadable,
     truncated or inconsistent file raises ``DataFormatError``: besides
     unparseable fields, that covers a manifest ``format_version`` other than
-    ``FORMAT_VERSION``, a manifest count, side, risk count or seed that is not
-    a JSON integer, a censor rate that is not a JSON number, a patient id or
+    ``FORMAT_VERSION``, a patient count that is not a JSON integer of at least 2,
+    a missing setting or one ``CohortConfig`` refuses (a side, risk count or seed
+    not a JSON integer, a censor rate not a finite number), a patient id or
     time bin outside the int64 range (ids start at 0, bins at 1), a repeated
     patient id, an event code outside 0..n_risks, a noisy flag other than 0/1
     and a non-finite voxel.
@@ -303,19 +295,13 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raise DataFormatError(f"cohort format {version!r}, "
                                   f"but only format {FORMAT_VERSION} can be read")
         info = manifest["cohort"]
-        # a JSON float, string or bool is damage, not a value to coerce
-        for key, kinds in _MANIFEST_TYPES.items():
-            if type(info[key]) not in kinds:
-                kind = "integer" if kinds == (int,) else "number"
-                raise DataFormatError(f"manifest {key} is {info[key]!r}, not a JSON {kind}")
-        side = info["volume_side"]
-        config = CohortConfig(
-            volume_side=side,
-            n_risks=info["n_risks"],
-            censor_rate=float(info["censor_rate"]),
-            seed=info["seed"],
-        )
         expected_n = info["n"]
+        # a JSON float, string or bool is damage, not a value to coerce, and
+        # generate_cohort writes no fewer than 2 patients
+        if type(expected_n) is not int or expected_n < 2:
+            raise DataFormatError(f"manifest n is {expected_n!r}, not a JSON integer of at least 2")
+        # a missing setting is damage too (KeyError); CohortConfig checks the kinds
+        config = CohortConfig(**{f.name: info[f.name] for f in fields(CohortConfig)})
     except FileNotFoundError:
         raise DataFormatError(f"no manifest.json in {data_dir}") from None
     except OSError as err:
@@ -355,10 +341,10 @@ def load_cohort(data_dir) -> SyntheticCohort:
         if flag not in (0, 1):
             raise DataFormatError(f"outcomes.csv: patient {pid} has noisy {flag}, not 0 or 1")
 
-    v = side ** 3
+    v = config.volume_side ** 3
     # allocated once a file has borne out the manifest's side, which a damaged
-    # manifest could make too large to allocate; an empty cohort reads no file
-    volumes = {"ct": np.empty((0, 0)), "pet": np.empty((0, 0))}
+    # manifest could make too large to allocate
+    volumes = dict.fromkeys(("ct", "pet"))
     for row, pid in enumerate(ids):
         for name in volumes:
             file = f"{pid}_{name}.f32"

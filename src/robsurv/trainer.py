@@ -34,6 +34,7 @@ from .errors import (
     NumericsError,
     TrainingDivergedError,
     UndefinedMetricError,
+    check_fields,
 )
 from .fileio import atomic_bytes
 from .optim import Adam
@@ -82,26 +83,24 @@ class TrainConfig:
     train_noise: NoiseSpec = NoiseSpec(ct_sigma=0.1, pet_level="high", noisy_fraction=0.5)
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("alpha1", "alpha2", "gamma_q", "gamma_fusion", "gamma_surv"):
-            if not getattr(self, name) >= 0:  # written so that NaN fails too
+            if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        if not self.lr > 0:
+        if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be at least 2 (ranking needs pairs)")
-        if self.folds < 2:
-            raise ConfigError("folds must be at least 2")
-        if self.epochs < 1 or self.patience < 1:
-            raise ConfigError("epochs and patience must be positive")
-        if self.n_bins < 1 or self.n_risks < 1:
-            raise ConfigError("n_bins and n_risks must be positive")
-        if not self.rank_sigma > 0:
+        # a batch of 2 is the least the ranking loss can pair
+        for name, least in (("batch_size", 2), ("folds", 2), ("epochs", 1), ("patience", 1),
+                            ("n_bins", 1), ("n_risks", 1)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be at least {least}")
+        if self.rank_sigma <= 0:
             raise ConfigError("rank_sigma must be positive")
         if self.seed < 0:  # numpy's generators take no negative seed
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.risk_weights is not None and len(self.risk_weights) != self.n_risks:
             raise ConfigError("risk_weights must have one entry per risk")
-        if not all(w >= 0 for w in self.risk_weights or ()):  # NaN fails too
+        if any(w < 0 for w in self.risk_weights or ()):
             raise ConfigError(f"risk_weights must be non-negative, got {self.risk_weights}")
         self.fusion.n_patches(self.encoder)  # latent grid must split into whole patches
 
@@ -113,31 +112,20 @@ def config_to_dict(config: TrainConfig) -> dict:
     return d
 
 
-_KINDS = {"int": int, "float": (int, float), "bool": bool}
 _SECTIONS = {"encoder": vq.EncoderConfig, "fusion": fusion.FusionConfig, "train_noise": NoiseSpec}
 
 
 def _build(cls, raw, label: str):
-    """Instantiate dataclass ``cls`` from a parsed JSON object, checking each value's kind."""
+    """Instantiate dataclass ``cls`` from a parsed JSON object; ``cls`` checks the values."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{label} must be a JSON object, got {raw!r}")
-    types = {f.name: f.type for f in fields(cls)}
+    names = {f.name for f in fields(cls)}
     values = {}
     for name, value in raw.items():
-        if name not in types:
+        if name not in names:
             raise ConfigError(f"unknown {label} field: {name}")
-        kind = _KINDS.get(types[name], object)
-        # bool is an int subclass, but JSON true/false only fits a bool field
-        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-            raise ConfigError(f"{label} field {name} must be {types[name]}, got {value!r}")
-        if name == "risk_weights" and value is not None:
-            if not isinstance(value, list) or {type(w) for w in value} - {int, float}:
-                raise ConfigError(f"risk_weights must be a list of numbers, got {value!r}")
+        if name == "risk_weights" and isinstance(value, list):
             value = tuple(value)
-        # JSON's Infinity, NaN and overflowing literals such as 1e400 parse as floats
-        if any(type(v) is float and not math.isfinite(v)
-               for v in (value if isinstance(value, tuple) else (value,))):
-            raise ConfigError(f"{label} field {name} must be finite, got {value!r}")
         values[name] = _build(_SECTIONS[name], value, name) if name in _SECTIONS else value
     return cls(**values)
 
@@ -216,7 +204,12 @@ def param_specs(config: TrainConfig) -> dict[str, tuple]:
 
 def init_model_params(config: TrainConfig, rng: np.random.Generator) -> dict:
     """All trainable tensors in one flat dict with route prefixes; codebook rows distinct."""
-    params = ad.init_params(param_specs(config), rng)
+    try:
+        params = ad.init_params(param_specs(config), rng)
+    # numpy refuses a size past its dimension limit with ValueError
+    except (MemoryError, ValueError):
+        count = sum(math.prod(shape) for shape, _, _ in param_specs(config).values())
+        raise ConfigError(f"{count:.3g} model parameters are more than can be allocated") from None
     for m in vq.MODALITIES:
         codebook = params[f"{m}.codebook"].data
         if len(np.unique(codebook, axis=0)) != len(codebook):

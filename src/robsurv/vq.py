@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, check_fields
 
 __all__ = [
     "EncoderConfig", "LatentPair", "VqLossBreakdown", "ModalityVqLoss",
@@ -46,12 +46,10 @@ class EncoderConfig:
     codebook_size: int = 64
 
     def __post_init__(self):
-        if self.latent_grid < 2:
-            raise ConfigError("latent_grid must be >= 2")
-        if self.latent_dim < 1:
-            raise ConfigError("latent_dim must be >= 1")
-        if self.codebook_size < 2:
-            raise ConfigError("codebook_size must be >= 2")
+        check_fields(self)
+        for name, least in (("latent_grid", 2), ("latent_dim", 1), ("codebook_size", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}")
         if self.volume_side < self.latent_grid or self.volume_side % self.latent_grid:
             raise ConfigError(
                 f"volume_side {self.volume_side} does not split into latent_grid {self.latent_grid} blocks"

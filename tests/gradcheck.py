@@ -2,9 +2,9 @@
 
 ``check_gradients`` rebuilds the loss graph from the current leaf values on
 every probe, so the analytic tape and the numeric quotient never share
-state.  Straight-through style primitives (detach / straight_through /
-clip_passthrough) declare Jacobians that intentionally differ from their
-forward maps; callers must keep those off the probed paths.
+state.  The straight-through style primitives (detach, straight_through)
+declare Jacobians that intentionally differ from their forward maps;
+callers must keep those off the probed paths.
 """
 
 from __future__ import annotations

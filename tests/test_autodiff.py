@@ -284,7 +284,6 @@ RECORDING_CASES = {
     "log": (ad.log, [(3, 4)]),
     "sigmoid": (ad.sigmoid, [(3, 4)]),
     "relu": (ad.relu, [(3, 4)]),
-    "clip_passthrough": (lambda x: ad.clip_passthrough(x, 0.6, 1.2), [(3, 4)]),
     "cumsum": (lambda x: ad.cumsum(x, 1), [(3, 4)]),
     "cumprod": (lambda x: ad.cumprod(x, -1), [(3, 4)]),
     "l2norm": (lambda x: ad.l2norm(x, 1), [(3, 4)]),
@@ -298,11 +297,14 @@ RECORDING_CASES = {
     "slice_along": (lambda x: ad.slice_along(x, 1, 1, 3), [(3, 4)]),
     "take_rows": (lambda m: ad.take_rows(m, np.array([2, 0, 2])), [(3, 4)]),
     "straight_through": (ad.straight_through, [(3, 4), (3, 4)]),
+    # the clamp survival.likelihood_loss takes logs through
+    "straight_through_clipped": (
+        lambda x: ad.straight_through(x, ad.Tensor(np.clip(x.data, 0.6, 1.2))), [(3, 4)]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(set(ad.__all__) - NOT_RECORDED)
-                         + ["Tensor.max", "Tensor.mean", "Tensor.sum"])
+                         + ["Tensor.max", "Tensor.mean", "Tensor.sum", "straight_through_clipped"])
 def test_primitive_records_only_for_a_leaf(name):
     """Constant operands make a constant output and no record; one leaf among
     them makes exactly one record, whose output is the returned tensor."""
@@ -513,7 +515,7 @@ def test_primitive_gradients(name, seed):
 NOT_FD_CHECKED = {
     "Tensor", "as_tensor", "linear_spec", "init_params",
     "active_graph", "reset_graph", "no_grad", "backward",
-    "detach", "straight_through", "clip_passthrough",
+    "detach", "straight_through",
 }
 
 
@@ -627,12 +629,12 @@ def test_random_composite_gradients(seed):
 
 
 # ---------------------------------------------------------------------------
-# clip_passthrough
+# straight_through onto clipped values
 
 
-def test_clip_passthrough_values_and_grad():
+def test_straight_through_clipped_values_and_grad():
     x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
-    y = ad.clip_passthrough(x, 0.0, 1.0)
+    y = ad.straight_through(x, ad.Tensor(np.clip(x.data, 0.0, 1.0)))
     assert np.array_equal(y.data, [0.0, 0.5, 1.0])
     ad.backward(y.sum())
     assert np.array_equal(x.grad, np.ones(3))

@@ -230,6 +230,8 @@ def test_train_volume_side_mismatch(workspace, tmp_path, capsys):
     json.dumps({"risk_weights": 5}),
     json.dumps({"encoder": {"volume_side": 6, "latent_grid": 3}}),
     json.dumps({"lr": float("inf")}),  # written as Infinity
+    # 10**14 codebook rows: petabytes, which numpy refuses without allocating
+    json.dumps({**TINY_CONFIG, "encoder": {**TINY_CONFIG["encoder"], "codebook_size": 10**14}}),
 ])
 def test_train_bad_config_file(workspace, tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
@@ -238,6 +240,16 @@ def test_train_bad_config_file(workspace, tmp_path, capsys, content):
                             "--out", tmp_path / "run"], capsys)
     assert code == 2
     assert_one_error_line(err)
+
+
+def test_train_empty_cohort_is_input_error(workspace, tmp_path, capsys):
+    data = copy_tree(workspace["data"], tmp_path / "data")
+    _empty_cohort(data)
+    code, _, err = run_cli(["train", "--data", data, "--config", workspace["config"],
+                            "--out", tmp_path / "run"], capsys)
+    assert code == 3
+    assert_one_error_line(err)
+    assert "manifest n is 0" in err
 
 
 def test_train_deeply_nested_config_exits_2(workspace, tmp_path, capsys):
@@ -681,6 +693,13 @@ def _set_voxel(path: Path, index: int, value: float) -> None:
     voxels.tofile(path)
 
 
+def _empty_cohort(data: Path) -> None:
+    """A manifest ``n`` of 0 and an ``outcomes.csv`` of just its header."""
+    _edit_json(data / "manifest.json", lambda p: p["cohort"].__setitem__("n", 0))
+    path = data / "outcomes.csv"
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+
+
 def _replace_with_directory(path: Path) -> None:
     path.unlink()
     path.mkdir()
@@ -720,6 +739,7 @@ FAULTS = {
         d / "manifest.json", lambda p: p["cohort"].__setitem__("seed", "1")),
     "manifest-side-huge": lambda d, m: _edit_json(  # 4e15 bytes per volume
         d / "manifest.json", lambda p: p["cohort"].__setitem__("volume_side", 100_000)),
+    "manifest-n-zero": lambda d, m: _empty_cohort(d),
     "outcomes-delete": lambda d, m: (d / "outcomes.csv").unlink(),
     "outcomes-truncate": lambda d, m: _truncate(d / "outcomes.csv"),
     "outcomes-duplicate-id": lambda d, m: _set_outcome(

@@ -42,6 +42,15 @@ def test_config_validation():
         CFG.n_patches(EncoderConfig(volume_side=9, latent_grid=3, latent_dim=4))
 
 
+@pytest.mark.parametrize("bad", [
+    dict(preserve_weight_pet=float("inf")), dict(preserve_weight_pet=float("nan")),
+    dict(preserve_weight_pet="0.5"), dict(d_k=True), dict(n_heads=np.int64(1)),
+])
+def test_config_rejects_wrong_kinds(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        fusion.FusionConfig(**bad)
+
+
 def test_patch_counts():
     assert CFG.n_patches(ENC) == 8
     assert CFG.patch_input_dim(ENC) == 48

@@ -39,6 +39,20 @@ def test_cohort_config_domains():
         sd.generate_cohort(1, sd.CohortConfig())
 
 
+@pytest.mark.parametrize("cls, bad", [
+    (sd.CohortConfig, dict(volume_side=16.0)),
+    (sd.CohortConfig, dict(seed=np.int64(3))),
+    (sd.CohortConfig, dict(censor_rate=float("nan"))),
+    (sd.CohortConfig, dict(n_risks=True)),
+    (sd.NoiseSpec, dict(ct_sigma=False)),
+    (sd.NoiseSpec, dict(pet_level=1)),
+    (sd.NoiseSpec, dict(noisy_fraction=float("inf"))),
+])
+def test_configs_reject_wrong_kinds(cls, bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        cls(**bad)
+
+
 # ---------------------------------------------------------------------------
 # generation
 

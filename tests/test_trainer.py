@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modelfile import ModelFile, reference_file
 from robsurv import autodiff as ad
@@ -66,6 +67,21 @@ def trained(cohort24):
     dict(risk_weights=(1.0, 2.0)),  # n_risks stays 1
     dict(risk_weights=(-1.0,)),
     dict(seed=-1),
+    dict(lr=float("inf")),
+    dict(rank_sigma=float("inf")),
+    dict(alpha1=float("inf")),
+    dict(gamma_surv=float("nan")),
+    dict(lr=10**400),  # an int past the float range
+    dict(risk_weights=(float("inf"),)),
+    dict(risk_weights=(True,)),
+    dict(risk_weights=[1.0]),
+    dict(batch_size=2.5),
+    dict(seed=np.int64(0)),
+    dict(epochs="3"),
+    dict(use_quantization="no"),
+    dict(train_with_noise=1),
+    dict(encoder=FUS),
+    dict(train_noise=None),
 ])
 def test_config_rejects(bad):
     with pytest.raises(ConfigError):
@@ -126,6 +142,33 @@ def test_config_from_dict_partial_and_nested():
 def test_config_from_dict_rejects(raw):
     with pytest.raises(ConfigError):
         trainer.config_from_dict(raw)
+
+
+_SCALAR_FIELDS = sorted(f.name for f in dataclasses.fields(trainer.TrainConfig)
+                        if f.type in ("int", "float", "bool"))
+_VALUES = st.one_of(st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.booleans(),
+                    st.integers(-2**63, 2**63 - 1).map(np.int64), st.text(max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(_SCALAR_FIELDS), _VALUES, max_size=4),
+       st.none() | st.tuples(_VALUES))
+def test_config_built_in_python_survives_save_and_load(overrides, risk_weights):
+    """A TrainConfig either refuses its values or comes back equal from the
+    JSON round trip that SurvivalModel.save and load put it through."""
+    try:
+        config = trainer.TrainConfig(**overrides, risk_weights=risk_weights)
+    except ConfigError:
+        return
+    text = json.dumps(trainer.config_to_dict(config), allow_nan=False)
+    assert trainer.config_from_dict(json.loads(text)) == config
+
+
+def test_unallocatable_model_is_usage_error():
+    # 10**14 codebook rows of 6: petabytes, which numpy refuses without allocating
+    config = tiny_config(encoder=dataclasses.replace(ENC, codebook_size=10**14))
+    with pytest.raises(ConfigError, match="model parameters are more than can be allocated"):
+        trainer.init_model_params(config, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,13 @@ def test_config_validation():
         vq.EncoderConfig(codebook_size=1)
 
 
+@pytest.mark.parametrize("bad", [dict(latent_dim=8.0), dict(codebook_size=np.int64(8)),
+                                 dict(volume_side=True), dict(latent_grid="2")])
+def test_config_rejects_wrong_kinds(bad):
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        vq.EncoderConfig(**bad)
+
+
 def test_large_preset_geometry():
     # full-resolution setting: 128^3 volumes, 8^3 token grid, 512 channels, 1024 codes
     cfg = vq.EncoderConfig(128, 8, 512, 1024)
