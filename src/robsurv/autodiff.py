@@ -13,12 +13,13 @@ primitives that take constant operands (masks, the positional table, input
 volumes), skip every operand without ``requires_grad``: they return None
 for it and never compute its gradient.  `backward` walks the tape once in
 reverse, so data-dependent structure (nearest-codebook selection, per-bin
-masks) is differentiated exactly as executed.  Only leaves (tensors no
-record produced) keep ``.grad``: a record's output adjoint is dropped as
-soon as its pull has run, because every record that reads that output
-comes later on the tape and has already been pulled.  Calling `backward`
-again on an intact tape first clears every grad it is about to touch and
-therefore reproduces identical results.
+masks) is differentiated exactly as executed.  It pulls only the records
+on the loss's path, never one recorded after the loss.  Only leaves
+(tensors no record produced) keep ``.grad``: a record's output adjoint is
+dropped as soon as its pull has run, because every record that reads that
+output comes later on the tape and has already been pulled.  Every grad
+the tape touches ends either fresh or None, so calling `backward` again on
+an intact tape reproduces identical results.
 
 Rules kept deliberately narrow:
 
@@ -612,45 +613,36 @@ def straight_through(flow, values) -> Tensor:
 # reverse pass
 
 def backward(loss: Tensor) -> None:
-    """Store d(loss)/d(leaf) in ``.grad`` of every leaf the tape reaches.
+    """Store d(loss)/d(leaf) in ``.grad`` of every leaf the loss reaches.
 
-    The walk visits each record exactly once in reverse execution order;
-    records not upstream of ``loss`` carry a zero adjoint and contribute
-    nothing.  A record output's adjoint is released once its pull has run,
-    so afterwards no record output (``loss`` included) holds ``.grad``.
-    All grads touched by the tape are cleared first, so repeated calls on
-    an intact graph give identical results.  Each leaf gradient is checked
-    once for finiteness (see the module docstring).
+    One walk over the tape in reverse execution order.  ``reached`` holds
+    the tensors the loss has reached so far.  A record whose output is in it
+    is pulled and the output leaves it, adjoint released; any other record
+    is never pulled.  An input's first contribution is assigned, later ones
+    added, and an input not yet reached when its reader is visited gets
+    None: every grad the tape touches ends fresh or None.  The leaves left
+    in ``reached`` are checked once for finiteness (see the module docstring).
     """
     if not isinstance(loss, Tensor):
         raise ContractError("backward expects a Tensor")
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    records = _STATE.graph
-    produced: set[int] = set()
-    leaves: dict[int, Tensor] = {}
-    for out, inputs, _ in records:
-        out.grad = None
-        produced.add(id(out))
-        for t in inputs:
-            t.grad = None
-            # tape order is execution order, so a record output is always
-            # in ``produced`` before any record reads it
-            if t.requires_grad and id(t) not in produced:
-                leaves[id(t)] = t
     loss.grad = np.ones_like(loss.data)
+    reached: dict[int, Tensor] = {id(loss): loss}
     # an overflowing adjoint is reported by the leaf check below, not by numpy
     with np.errstate(all="ignore"):
-        for out, inputs, pull in reversed(records):
-            g = out.grad
-            if g is None:
-                continue
-            for t, contrib in zip(inputs, pull(g)):
-                if contrib is None or not t.requires_grad:
-                    continue
-                # out of place: a pull may hand the same array to several inputs
-                t.grad = contrib if t.grad is None else t.grad + contrib
-            out.grad = None  # every reader of ``out`` is later on the tape, already pulled
-    for t in leaves.values():
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
+        for out, inputs, pull in reversed(_STATE.graph):
+            # every reader of ``out`` is later on the tape, so its adjoint is complete
+            on_path = reached.pop(id(out), None) is not None
+            contribs = pull(out.grad) if on_path else (None,) * len(inputs)
+            out.grad = None
+            for t, contrib in zip(inputs, contribs):
+                if contrib is not None and t.requires_grad:
+                    # out of place: a pull may hand the same array to several inputs
+                    t.grad = t.grad + contrib if id(t) in reached else contrib
+                    reached[id(t)] = t
+                elif id(t) not in reached:
+                    t.grad = None
+    for t in reached.values():
+        if not np.all(np.isfinite(t.grad)):
             raise NumericsError("backward produced a non-finite gradient")

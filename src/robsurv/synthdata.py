@@ -302,6 +302,8 @@ def load_cohort(data_dir) -> SyntheticCohort:
             raise DataFormatError(f"manifest n is {expected_n!r}, not a JSON integer of at least 2")
         # a missing setting is damage too (KeyError); CohortConfig checks the kinds
         config = CohortConfig(**{f.name: info[f.name] for f in fields(CohortConfig)})
+    except DataFormatError:  # the version and n checks above, worded already
+        raise
     except FileNotFoundError:
         raise DataFormatError(f"no manifest.json in {data_dir}") from None
     except OSError as err:

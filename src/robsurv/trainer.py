@@ -147,7 +147,11 @@ def quantile_bin_edges(times, n_bins: int) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ConfigError("cannot derive bin edges from an empty cohort")
-    return np.quantile(times, np.arange(1, n_bins) / n_bins)
+    try:
+        levels = np.arange(1, n_bins) / n_bins
+    except (MemoryError, ValueError):  # ValueError: past numpy's dimension limit
+        raise ConfigError(f"{n_bins} time bins are more than can be allocated") from None
+    return np.quantile(times, levels)
 
 
 def assign_bins(times, edges: np.ndarray) -> np.ndarray:
@@ -509,6 +513,7 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
                     fwd = model.forward(train_co.ct[rows], train_co.pet[rows])
                     bundle = model.losses(fwd, t_train[rows], train_co.events[rows])
                     value = bundle.total.item()
+                    # backward overwrites a leaf grad only on reaching it: free them first
                     optimizer.zero_grad()
                     ad.backward(bundle.total)
                 except NumericsError as err:

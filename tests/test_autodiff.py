@@ -229,6 +229,47 @@ def test_non_finite_adjoint_mid_graph_raises():
     ad.reset_graph()
 
 
+def _pull_raises(g):
+    raise AssertionError("a record recorded after the loss was pulled")
+
+
+def _two_losses(case, x, y):
+    """Two losses on one tape; the first reaches x and y, the second only y
+    ("off-path") or both ("reached-again", "record-after").  For
+    "record-after", a record whose pull raises reads the second loss."""
+    first = (ad.sigmoid(x) * y * x).sum()
+    second = (y * y).sum() if case == "off-path" else (x * 3.0 + y * y).sum()
+    if case == "record-after":
+        ad.active_graph().append((ad.Tensor(0.0, requires_grad=True), (second,), _pull_raises))
+    return first, second
+
+
+@pytest.mark.parametrize("case", ["off-path", "reached-again", "record-after"])
+def test_second_backward_matches_a_fresh_one(case):
+    """After a backward of one loss, a backward of a second loss on the same
+    tape leaves each leaf as a fresh backward of the second loss alone would:
+    its gradient, or None for a leaf on the tape but off the second's path."""
+    def leaves():
+        rng = rng_for(21)
+        return (ad.Tensor(rng.normal(size=(3,)), requires_grad=True),
+                ad.Tensor(rng.normal(size=(3,)), requires_grad=True))
+
+    ad.reset_graph()
+    x, y = leaves()
+    first, second = _two_losses(case, x, y)
+    ad.backward(first)
+    assert x.grad is not None and y.grad is not None
+    ad.backward(second)
+    ad.reset_graph()
+    fresh_x, fresh_y = leaves()
+    ad.backward(_two_losses(case, fresh_x, fresh_y)[1])
+    ad.reset_graph()
+    assert (x.grad is None) == (fresh_x.grad is None) == (case == "off-path")
+    if x.grad is not None:
+        assert np.array_equal(x.grad, fresh_x.grad)
+    assert np.array_equal(y.grad, fresh_y.grad)
+
+
 def test_detach_transparent_but_blocking():
     x = ad.Tensor([1.0, -2.0, 3.0], requires_grad=True)
     y = x.detach()
