@@ -25,10 +25,13 @@ Rules kept deliberately narrow:
 
 * float64 everywhere.  The primitives that can turn finite operands into
   NaN/Inf check their forward output and raise ``NumericsError``: add,
-  sub, mul, div, linear, attention, exp, cumsum and cumprod.  ``log`` and
-  ``cumprod`` raise ``DomainError`` on a non-positive operand.  The
-  remaining primitives do not check; a sum or a norm can still overflow
-  to Inf.
+  sub, mul, div, linear, attention, exp, cumsum and cumprod.  div, exp,
+  cumsum and cumprod also silence numpy's warnings; add, sub, mul, linear
+  and attention leave that to the caller, as the training step and
+  ``predict`` do with ``np.errstate(over="ignore", invalid="ignore")``.
+  ``log`` and ``cumprod`` raise ``DomainError`` on a non-positive
+  operand.  The remaining primitives do not check; a sum or a norm can
+  still overflow to Inf.
   `backward` checks only the gradient of each leaf (a tensor no record
   produced), once: a non-finite adjoint cannot vanish on its way to a
   leaf, because ``x*0``, ``inf-inf`` and ``0*inf`` are all NaN.
@@ -281,7 +284,7 @@ def _pass(g, x, y):
 
 
 def _divide(x, y):
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.divide(x, y)
 
 

@@ -95,16 +95,8 @@ class SyntheticCohort:
         if idx.ndim != 1:  # a 0-d index would select one row as a view
             raise ShapeError(f"subset needs a 1-D index, got shape {idx.shape}")
         # indexing with an array copies, so each field is copied exactly once
-        return SyntheticCohort(
-            patient_ids=self.patient_ids[idx],
-            ct=self.ct[idx],
-            pet=self.pet[idx],
-            risk=self.risk[idx],
-            times=self.times[idx],
-            events=self.events[idx],
-            noisy=self.noisy[idx],
-            config=self.config,
-        )
+        return replace(self, **{f.name: getattr(self, f.name)[idx]
+                                for f in fields(self) if f.name != "config"})
 
 
 def _patient_rng(seed: int, patient: int, *salt: int) -> np.random.Generator:

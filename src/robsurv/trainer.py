@@ -478,7 +478,7 @@ class FoldReport:
     val_ctd: list
     clean_ctd: float
     noisy_ctd: float
-    codebook: dict | None          # modality -> {perplexity, dead_entries}
+    codebook: dict | None          # modality -> asdict(vq.CodebookHealth)
     trained_with_noise: bool
     wall_clock: float
 
@@ -495,8 +495,6 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
     t_train = assign_bins(train_co.times, edges)
     t_val = assign_bins(val_co.times, edges)
 
-    best_score = -np.inf  # a concordance is never NaN, so epoch 0 always improves
-    patience_left = config.patience
     train_losses: list[float] = []
     val_scores: list[float] = []
 
@@ -528,36 +526,26 @@ def _fit_fold(train_co: SyntheticCohort, val_co: SyntheticCohort, config: TrainC
         ad.reset_graph()
         train_losses.append(float(np.mean(batch_losses)))
         values, _, usage = model.predict(val_co.ct, val_co.pet)
-        score = stats.concordance(values, t_val, val_co.events, cause=1)
-        val_scores.append(score)
-        if score > best_score:
-            best_score = score
-            best_epoch = epoch
-            best_snap = model.snapshot()
-            best_usage = usage
-            patience_left = config.patience
-        else:
-            patience_left -= 1
-            if patience_left == 0:
-                break
+        val_scores.append(stats.concordance(values, t_val, val_co.events, cause=1))
+        # a tie is no improvement, so the earliest of equal scores stays best
+        if epoch == 0 or val_scores[epoch] > val_scores[best_epoch]:
+            best_epoch, best_snap, best_usage = epoch, model.snapshot(), usage
+        elif epoch - best_epoch == config.patience:
+            break
     # predict is deterministic, so the best epoch's validation pass already
     # holds the restored model's clean score and codebook usage
     model.restore(best_snap)
     noisy_val = apply_noise_mix(val_co, config.train_noise, seed=config.seed * 1009 + fold)
     noisy_ctd = stats.concordance(model.predict(noisy_val.ct, noisy_val.pet)[0], t_val,
                                   noisy_val.events, cause=1)
-
-    codebook = None
-    if config.use_quantization:
-        codebook = {}
-        for m in vq.MODALITIES:
-            health = vq.codebook_health(model.scoped(m)["codebook"], best_usage[m])
-            codebook[m] = {"perplexity": health.perplexity, "dead_entries": health.dead_entries}
+    codebook = None if best_usage is None else {
+        m: asdict(vq.codebook_health(model.scoped(m)["codebook"], ids))
+        for m, ids in best_usage.items()}
 
     report = FoldReport(
         fold=fold, epochs_run=len(train_losses), best_epoch=best_epoch,
-        best_val_ctd=float(best_score), train_losses=train_losses,
-        val_ctd=val_scores, clean_ctd=float(best_score), noisy_ctd=float(noisy_ctd),
+        best_val_ctd=val_scores[best_epoch], train_losses=train_losses,
+        val_ctd=val_scores, clean_ctd=val_scores[best_epoch], noisy_ctd=noisy_ctd,
         codebook=codebook, trained_with_noise=config.train_with_noise,
         wall_clock=time.perf_counter() - started,
     )
@@ -664,13 +652,12 @@ def evaluate(model: SurvivalModel, cohort: SyntheticCohort,
     c_td = _c_td(model, cohort, assign_bins(cohort.times, model.bin_edges), values)
 
     groups = stats.stratify(values[:, -1, 0])
-    flags = (cohort.events > 0).astype(int)
     km = {
-        "low": stats.km_curve(cohort.times[groups.low], flags[groups.low]),
-        "high": stats.km_curve(cohort.times[groups.high], flags[groups.high]),
+        "low": stats.km_curve(cohort.times[groups.low], cohort.events[groups.low]),
+        "high": stats.km_curve(cohort.times[groups.high], cohort.events[groups.high]),
     }
-    lr = stats.logrank(cohort.times[groups.low], flags[groups.low],
-                       cohort.times[groups.high], flags[groups.high])
+    lr = stats.logrank(cohort.times[groups.low], cohort.events[groups.low],
+                       cohort.times[groups.high], cohort.events[groups.high])
     return EvalReport(
         c_td=c_td, logrank_stat=lr.statistic, logrank_p=lr.p_value, km=km,
         n=cohort.n, n_noisy=int(cohort.noisy.sum()), noise=noise,
@@ -691,9 +678,9 @@ def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, see
     treats each row on its own at a fixed batch position.  A cell takes the
     corrupted predictions of its rows and the clean ones of the rest.  The
     risk groups and log-rank test of ``evaluate`` are not computed, so a
-    degenerate median split does not stop a sweep.  ``threads`` runs the
-    clean and per-seed predictions concurrently; the results do not depend
-    on it.
+    degenerate median split does not stop a sweep.  ``threads`` > 1 sets the
+    size of the pool that runs the clean and per-seed predictions, and 1 runs
+    them in the calling thread; the results do not depend on it.
     """
     specs = [NoiseSpec(ct_sigma=ct_sigma, pet_level=pet_level, noisy_fraction=f)
              for f in fractions]  # every spec is checked before any work starts
@@ -708,19 +695,18 @@ def evaluate_sweep(model: SurvivalModel, cohort: SyntheticCohort, fractions, see
     tasks = [None, *noise_seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            predicted = list(pool.map(predict, tasks))
-    else:
-        predicted = [predict(task) for task in tasks]
-    clean, noisy = predicted[0], dict(zip(noise_seeds, predicted[1:]))
+            clean, *predicted = pool.map(predict, tasks)
+    else:  # no pool: one worker's own malloc arena would add ~17 MB to peak RSS
+        clean, *predicted = map(predict, tasks)
+    noisy = dict(zip(noise_seeds, predicted))
 
-    n = cohort.n
     binned = assign_bins(cohort.times, model.bin_edges)
     cells = []
     for spec in specs:
         for seed in seeds:
-            rows = noisy_rows(n, spec, seed)
-            mask = np.zeros(n, dtype=bool)
-            mask[rows] = True
-            values = np.where(mask[:, None, None], noisy[seed], clean) if rows.size else clean
+            rows = noisy_rows(cohort.n, spec, seed)
+            values = clean.copy()
+            if rows.size:  # a clean spec has no noisy predictions
+                values[rows] = noisy[seed][rows]
             cells.append(_c_td(model, cohort, binned, values))
     return cells

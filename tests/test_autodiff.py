@@ -93,6 +93,33 @@ def test_accumulation_overflow_raises(op, values):
     assert caught == []
 
 
+def test_div_overflow_raises_without_a_warning():
+    # div silences numpy's overflow warning itself, as exp, cumsum and cumprod do
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(NumericsError, match="div"):
+            ad.div(ad.Tensor([1e300]), ad.Tensor([1e-300]))
+    assert caught == []
+
+
+_HUGE = np.full((1, 1, 2), 1e200)
+OVERFLOWING = {
+    "add": lambda: ad.add(ad.Tensor([1e308]), ad.Tensor([1e308])),
+    "sub": lambda: ad.sub(ad.Tensor([1e308]), ad.Tensor([-1e308])),
+    "mul": lambda: ad.mul(ad.Tensor([1e200]), ad.Tensor([1e200])),
+    "div": lambda: ad.div(ad.Tensor([1e300]), ad.Tensor([1e-300])),
+    "linear": lambda: ad.linear(ad.Tensor(_HUGE[0]), ad.Tensor(_HUGE[0].T)),
+    "attention": lambda: ad.attention(ad.Tensor(_HUGE), ad.Tensor(_HUGE), ad.Tensor(_HUGE), 1),
+}
+
+
+@pytest.mark.parametrize("op", OVERFLOWING)
+def test_forward_overflow_raises_under_the_callers_errstate(op):
+    # the training step and predict silence numpy this way and rely on the check
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match=op):
+        OVERFLOWING[op]()
+
+
 def test_log_domain():
     with pytest.raises(DomainError):
         ad.log(ad.Tensor([1.0, -1.0]))

@@ -1,4 +1,5 @@
-"""The example scripts run end to end at a small cohort size."""
+"""The example scripts run end to end at a small cohort size, and the digest
+scripts print the same lines on every run."""
 
 import subprocess
 import sys
@@ -35,3 +36,12 @@ def test_step_digest_is_reproducible():
     first, second = (run_script("step_digest.py").stdout.splitlines() for _ in range(2))
     assert first == second
     assert len(first) == 15 and all("sha256=" in line for line in first)
+
+
+def test_artifact_digest_is_reproducible():
+    first, second = (run_script("artifact_digest.py").stdout.splitlines() for _ in range(2))
+    assert first == second
+    # the cohort directory, 3 files per training (3) and eval (2), 2 per sweep (3)
+    assert len(first) == 1 + 3 * 3 + 3 * 2 + 2 * 3
+    assert first[0].startswith("cohort/ sha256=")
+    assert all(" sha256=" in line for line in first)

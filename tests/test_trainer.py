@@ -602,6 +602,22 @@ def test_train_snapshots_only_improving_epochs(cohort24, monkeypatch):
     assert len(calls) == improved
 
 
+def test_early_stopping_keeps_the_first_best_epoch(cohort24):
+    """A fold stops ``patience`` epochs after its best one, and a later epoch
+    that only ties the best score does not move it."""
+    cfg = tiny_config(patience=2, epochs=8)
+    _, reports = trainer.train(cohort24, cfg)
+    for report in reports:
+        assert report.best_epoch == report.val_ctd.index(max(report.val_ctd))
+        assert report.best_val_ctd == report.clean_ctd == report.val_ctd[report.best_epoch]
+        assert report.epochs_run == len(report.val_ctd) == min(
+            cfg.epochs, report.best_epoch + cfg.patience + 1)
+    assert any(report.epochs_run < cfg.epochs for report in reports)
+    # the rule is exercised: some fold stopped with a later epoch tying its best
+    assert any(report.best_val_ctd in report.val_ctd[report.best_epoch + 1:]
+               for report in reports)
+
+
 def test_cohort_too_small_rejected(cohort24):
     with pytest.raises(ConfigError):
         trainer.train(cohort24, tiny_config(folds=4, batch_size=8))
